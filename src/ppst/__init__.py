@@ -11,7 +11,7 @@ captions and the source images.
 __version__ = "0.1.0"
 
 from .adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
-                       StyleAdapterSet, StyledLanguageModel, adapter_forward, attach,
+                       StyleAdapterSet, StyledLanguageModel, attach,
                        train_adapter, train_full_finetune)
 from .corpus import (CANONICAL_GENRES, GenreCatalog, ImageCaptionPair, StyledPassage,
                      build_styled_passages, chunk_book, filter_by_style, match_genres,

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .artifacts import (fingerprint_json, load_tensors, read_manifest, save_tensors,
-                        write_manifest)
+from .artifacts import (fingerprint_json, load_checkpoint, save_checkpoint,
+                        tensors_fingerprint)
 from .errors import CompatibilityError, ConfigurationError, TrainingDiverged
 from .lm import CausalTransformerLM, teacher_forced_batch
 from .nn import masked_cross_entropy
@@ -77,12 +76,6 @@ class AdapterBlock:
                 **self.up.params(f"{prefix}.up")}
 
 
-def adapter_forward(h, block):
-    """Apply one adapter block position-wise to a hidden-state array."""
-    out, _ = block.forward(np.asarray(h, dtype=np.float64))
-    return out
-
-
 class StyleAdapterSet:
     """One adapter block per LM layer, trained for a single style."""
 
@@ -111,32 +104,21 @@ class StyleAdapterSet:
         return nn.param_count(self.params())
 
     def save(self, directory, extra_manifest=None):
-        directory = Path(directory)
-        save_tensors(directory, {k: p.value for k, p in self.params().items()})
-        manifest = {"kind": "style_adapter_set", "style_id": self.style_id,
-                    "lm_fingerprint": self.lm_fingerprint, "seed": self.seed,
-                    "n_blocks": len(self.blocks), "config": asdict(self.config)}
-        manifest.update(extra_manifest or {})
-        write_manifest(directory, manifest)
-        return directory
+        return save_checkpoint(directory, "style_adapter_set", self.params(), {
+            "style_id": self.style_id, "lm_fingerprint": self.lm_fingerprint,
+            "seed": self.seed, "n_blocks": len(self.blocks),
+            "config": asdict(self.config), **(extra_manifest or {})})
 
     @classmethod
     def load(cls, directory, base_lm):
-        manifest = read_manifest(directory)
-        if manifest is None or manifest.get("kind") != "style_adapter_set":
-            raise ConfigurationError(f"{directory} is not an adapter checkpoint")
-        config = AdapterConfig(**manifest["config"])
-        if manifest["n_blocks"] != len(base_lm.blocks):
-            raise CompatibilityError(
-                f"adapter set has {manifest['n_blocks']} blocks, LM has "
-                f"{len(base_lm.blocks)} layers")
-        adapter_set = cls.create(manifest["style_id"], base_lm, config,
-                                 seed=manifest.get("seed", 0))
-        adapter_set.lm_fingerprint = manifest["lm_fingerprint"]
-        tensors = load_tensors(directory)
-        for name, param in adapter_set.params().items():
-            param.value[...] = tensors[name]
-        return adapter_set
+        def build(manifest):
+            adapter_set = cls.create(manifest["style_id"], base_lm,
+                                     AdapterConfig(**manifest["config"]),
+                                     seed=manifest.get("seed", 0))
+            adapter_set.lm_fingerprint = manifest["lm_fingerprint"]
+            return adapter_set
+
+        return load_checkpoint(directory, "style_adapter_set", build)
 
 
 @dataclass
@@ -223,7 +205,6 @@ class StyledLanguageModel:
         out = {"lm_id": self.base_lm.lm_id, "lm_fingerprint": self.base_lm.fingerprint(),
                "mode": self.mode, "style": self.style}
         if self.mode == "adapter":
-            from .artifacts import tensors_fingerprint
             out["adapter_fingerprint"] = tensors_fingerprint(self.adapter_set.params())
         return out
 

@@ -1,26 +1,32 @@
-"""Checkpoint tensor storage, content fingerprints, and run manifests.
+"""Checkpoint tensor storage, content fingerprints, run manifests and stages.
 
 Tensor files hold little-endian float32 data back to back; a JSON shape index
 maps each tensor name to its shape and byte offset. Fingerprints are sha256
 over that same canonical float32 encoding, so a fingerprint survives a
-save/load round trip.
+save/load round trip. A `Stage` owns one run directory: its name, its lock,
+its up-to-date check, and a commit that writes the manifest last.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import CompatibilityError, ConfigurationError, InputError
 
 TENSOR_FILE = "tensors.bin"
 INDEX_FILE = "tensors.json"
 MANIFEST_FILE = "manifest.json"
+LOCK_FILE = ".lock"
+STAGING_DIR = ".staging"
 
 
 def save_tensors(directory, arrays):
@@ -42,12 +48,19 @@ def save_tensors(directory, arrays):
 def load_tensors(directory):
     """Inverse of save_tensors; returns {name: float64 array}."""
     directory = Path(directory)
-    index = json.loads((directory / INDEX_FILE).read_text())
-    blob = (directory / TENSOR_FILE).read_bytes()
+    index = read_json(directory / INDEX_FILE)
+    path = directory / TENSOR_FILE
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CompatibilityError(f"{path} is unreadable: {exc}") from None
     out = {}
     for entry in index:
-        raw = blob[entry["offset"]: entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+        start, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
+        if start + nbytes > len(blob) or nbytes != 4 * int(np.prod(shape)):
+            raise CompatibilityError(f"{path} is truncated or does not match "
+                                     f"{INDEX_FILE} at tensor {entry['name']!r}")
+        arr = np.frombuffer(blob[start: start + nbytes], dtype="<f4").reshape(shape)
         out[entry["name"]] = arr.astype(np.float64)
     return out
 
@@ -75,80 +88,210 @@ def strict_checksum(arrays):
     return h.hexdigest()
 
 
-def fingerprint_bytes(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def fingerprint_text(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def fingerprint_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def fingerprint_json(obj):
-    return fingerprint_text(json.dumps(obj, sort_keys=True, default=str))
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
+
+
+def read_json(path):
+    """Parse a JSON file; an unreadable or corrupt file is an InputError naming it."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path} is unreadable or corrupt: {exc}", ref=str(path)) from None
+
+
+def read_jsonl(path, parse):
+    """[parse(record) for each non-blank line], skipping records parsed to None.
+
+    A line that is not JSON, or that `parse` rejects, is an InputError naming
+    the file and line.
+    """
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = parse(json.loads(line))
+            except (KeyError, ValueError, TypeError, InputError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise InputError(f"{path}, line {lineno}: {detail}",
+                                 ref=f"{path}:{lineno}") from None
+            if row is not None:
+                out.append(row)
+    return out
+
+
+def write_jsonl(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def write_manifest(directory, manifest):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / MANIFEST_FILE
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
-    return path
+    """Write manifest.json through a temp file, so a reader sees all of it or none."""
+    path = Path(directory) / MANIFEST_FILE
+    tmp = path.with_name(MANIFEST_FILE + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+    os.replace(tmp, path)
 
 
 def read_manifest(directory):
     path = Path(directory) / MANIFEST_FILE
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+    return read_json(path) if path.exists() else None
 
 
-def run_is_up_to_date(directory, config_hash, input_fingerprint):
-    """True if a finished run with the same config and inputs already exists."""
+def save_checkpoint(directory, kind, params, meta):
+    """Store {name: Param} values and a manifest of `kind` plus the `meta` dict."""
+    save_tensors(directory, {name: p.value for name, p in params.items()})
+    write_manifest(directory, {"kind": kind, **meta})
+    return Path(directory)
+
+
+def load_checkpoint(directory, kind, build):
+    """Model rebuilt from a checkpoint of `kind`.
+
+    `build(manifest)` returns a freshly initialised model; its `params()` then
+    receive the stored tensors. A checkpoint of another kind, or whose tensor
+    names and shapes differ from the model's, raises CompatibilityError.
+    """
+    directory = Path(directory)
     manifest = read_manifest(directory)
-    if manifest is None:
-        return False
-    return (manifest.get("config_hash") == config_hash
-            and manifest.get("input_fingerprint") == input_fingerprint
-            and manifest.get("status") == "complete")
-
-
-def base_manifest(kind, config_hash, input_fingerprint):
-    from . import __version__
-
-    return {
-        "kind": kind,
-        "config_hash": config_hash,
-        "input_fingerprint": input_fingerprint,
-        "component_version": __version__,
-        "created_unix": time.time(),
-        "status": "complete",
-        "outputs": [],
-    }
+    if manifest is None or manifest.get("kind") != kind:
+        raise CompatibilityError(f"{directory} is not a {kind} checkpoint")
+    model = build(manifest)
+    params = model.params()
+    tensors = load_tensors(directory)
+    if {n: t.shape for n, t in tensors.items()} != {n: p.value.shape for n, p in params.items()}:
+        raise CompatibilityError(
+            f"{directory / TENSOR_FILE}: stored tensors do not match the {kind} model")
+    for name, param in params.items():
+        param.value[...] = tensors[name]
+    return model
 
 
 class run_lock:
-    """Exclusive lock file guarding a run directory against concurrent writers."""
+    """Exclusive lock file guarding a run directory against concurrent writers.
+
+    The lock file holds its owner's pid. A lock whose pid is no longer running
+    was left by a killed process: it is removed, with one line on stderr.
+    """
 
     def __init__(self, directory):
-        self.path = Path(directory) / ".lock"
-        self.fd = None
+        self.path = Path(directory) / LOCK_FILE
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # link a finished pid file into place, so a lock is never seen empty
+        mine = self.path.with_name(f"{LOCK_FILE}.{os.getpid()}")
+        mine.write_text(str(os.getpid()))
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigurationError(
-                f"run directory {self.path.parent} is locked by another process"
-            ) from None
-        return self
+            while True:
+                try:
+                    os.link(mine, self.path)
+                    return self
+                except FileExistsError:
+                    self._clear_stale()
+        finally:
+            mine.unlink()
+
+    def _clear_stale(self):
+        try:
+            owner = self.path.read_text().strip()
+        except FileNotFoundError:    # released meanwhile
+            return
+        try:
+            if int(owner) <= 0:
+                raise ValueError(owner)
+            os.kill(int(owner), 0)
+        except (ValueError, ProcessLookupError, OverflowError):
+            print(f"ppst: removing stale lock {self.path} (pid {owner or '?'} is not "
+                  "running)", file=sys.stderr)
+            self.path.unlink(missing_ok=True)
+            return
+        except PermissionError:      # running, owned by another user
+            pass
+        raise ConfigurationError(f"run directory {self.path.parent} is locked by "
+                                 f"another process (pid {owner})")
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)
         return False
+
+
+class Stage:
+    """One stage's run directory `<root>/<name>-<hash10>` and how it is written.
+
+    `identity` is the resolved config the stage depends on; its hash names the
+    run dir and must match the manifest for a run to count. `command` is what
+    a user runs to produce the stage, quoted when a downstream stage needs it.
+    """
+
+    def __init__(self, root, name, identity, command):
+        self.name = name
+        self.identity = identity
+        self.command = command
+        self.config_hash = fingerprint_json(identity)
+        self.dir = Path(root) / f"{name}-{self.config_hash[:10]}"
+
+    def _complete_manifest(self):
+        manifest = read_manifest(self.dir)
+        if (manifest is not None and manifest.get("status") == "complete"
+                and manifest.get("config_hash") == self.config_hash):
+            return manifest
+        return None
+
+    def skip(self, input_fingerprint, force=False):
+        """True, with a note on stdout, if a complete run over these inputs exists."""
+        manifest = None if force else self._complete_manifest()
+        if manifest is None or manifest.get("input_fingerprint") != input_fingerprint:
+            return False
+        print(f"{self.name}: up to date ({self.dir})")
+        return True
+
+    def require(self):
+        """The run dir of a complete run, for a downstream stage to read."""
+        if self._complete_manifest() is None:
+            raise InputError(f"no complete run in {self.dir}; run `{self.command}` first",
+                             ref=str(self.dir))
+        return self.dir
+
+    @contextlib.contextmanager
+    def run(self, input_fingerprint):
+        """Lock the run dir and yield (staging dir, manifest) for the stage's work.
+
+        When the work returns, the staged outputs replace the old ones and the
+        manifest is written last; when it raises, the staging dir is dropped
+        and a previous complete run is left as it was.
+        """
+        from . import __version__
+        try:
+            with run_lock(self.dir):
+                staging = self.dir / STAGING_DIR
+                shutil.rmtree(staging, ignore_errors=True)
+                staging.mkdir()
+                manifest = {"kind": self.name, "config_hash": self.config_hash,
+                            "input_fingerprint": input_fingerprint,
+                            "component_version": __version__,
+                            "created_unix": time.time(), "status": "complete",
+                            "resolved_config": self.identity}
+                try:
+                    yield staging, manifest
+                    manifest["outputs"] = sorted(str(p.relative_to(staging))
+                                                 for p in staging.rglob("*") if p.is_file())
+                    (self.dir / MANIFEST_FILE).unlink(missing_ok=True)
+                    for entry in staging.iterdir():
+                        target = self.dir / entry.name
+                        if target.is_dir():
+                            shutil.rmtree(target)
+                        os.replace(entry, target)
+                    write_manifest(self.dir, manifest)
+                finally:
+                    shutil.rmtree(staging, ignore_errors=True)
+        finally:
+            with contextlib.suppress(OSError):
+                self.dir.rmdir()         # empty only when no run ever committed here

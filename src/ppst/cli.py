@@ -8,33 +8,40 @@
 
 The config is a single JSON file with per-stage sections (see
 DEFAULT_CONFIG). Every training and decoding hyperparameter is a default
-there and can be overridden. Each command writes an isolated run directory
-`<artifacts_dir>/<stage>-<confighash>/` containing a manifest, checkpoints,
-records and reports; re-running with unchanged config and inputs is detected
-from the manifest and skipped unless --force is given.
+there and can be overridden. Each command is a `Stage` with a run directory
+`<artifacts_dir>/<stage>-<confighash>/`; the hash also covers the files of an
+explicit `lm.checkpoint`. A stage works in a staging dir under a pid lock (a
+lock whose pid is gone is removed), then moves its outputs into place and
+writes manifest.json last, so a crashed run leaves the previous one intact.
+A complete manifest over unchanged inputs is skipped unless --force is given;
+a downstream stage reads only complete upstream runs. `generate` checks that
+the mapper was trained on the base LM and encoder in use.
 
-Exit codes: 0 success, 2 input/config error, 3 numeric failure.
+Exit codes: 0 success; 2 input, config or compatibility error, including a
+corrupt file, a live lock or a mismatched checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
                        StyledLanguageModel, adapter_data_fingerprint, attach,
                        train_adapter, train_full_finetune, train_on_texts)
-from .artifacts import (base_manifest, fingerprint_file, fingerprint_json,
-                        run_is_up_to_date, run_lock, write_manifest)
+from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
+                        read_jsonl, read_manifest, write_jsonl)
 from .encoding import HashedNgramEncoder
-from .errors import ConfigurationError, InputError, PpstError, TrainingDiverged
+from .errors import CompatibilityError, InputError, PpstError, TrainingDiverged
 from .generation import DecodeConfig, generate
 from .lm import CausalTransformerLM, LmConfig
 from .mapper import (MapperConfig, MapperTrainConfig, PrefixMapper,
@@ -120,13 +127,7 @@ def _merge(base, override):
 
 
 def load_config(path, seed=None):
-    try:
-        user = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}", ref=str(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
-    cfg = _merge(DEFAULT_CONFIG, user)
+    cfg = _merge(DEFAULT_CONFIG, read_json(path))
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -139,17 +140,6 @@ def _encoder(cfg):
                               n_buckets=e["n_buckets"])
 
 
-def _stage_dir(cfg, stage, sections, extra=None):
-    """Run directory + config hash + the resolved config that hash covers."""
-    relevant = {name: cfg[name] for name in sections}
-    relevant["seed"] = cfg["seed"]
-    if extra:
-        relevant["extra"] = extra
-    config_hash = fingerprint_json(relevant)
-    run_id = f"{stage}-{config_hash[:10]}"
-    return Path(cfg["artifacts_dir"]) / run_id, config_hash, relevant
-
-
 def _require(path, what):
     if path is None:
         raise InputError(f"config does not name {what}", ref=what)
@@ -159,17 +149,48 @@ def _require(path, what):
     return p
 
 
+# config sections whose values name each stage's run directory
+STAGE_SECTIONS = {
+    "build-corpus": ["corpus"],
+    "base-lm": ["corpus", "lm"],
+    "train-mapper": ["corpus", "encoder", "lm", "mapper"],
+    "train-adapter": ["corpus", "lm", "adapters"],
+    "generate": ["corpus", "encoder", "lm", "mapper", "adapters", "decode"],
+    "evaluate": ["encoder", "eval"],
+}
+
+
+def _stage(cfg, kind, style=None, extra=None):
+    """The Stage of `kind` (for one style) under this config.
+
+    A stage that reads the `lm` section also hashes the files of an explicit
+    `lm.checkpoint`, so replacing the checkpoint at the same path re-runs it.
+    """
+    identity = {name: cfg[name] for name in STAGE_SECTIONS[kind]}
+    identity["seed"] = cfg["seed"]
+    if extra:
+        identity["extra"] = extra
+    if "lm" in identity and cfg["lm"]["checkpoint"]:
+        checkpoint = _require(cfg["lm"]["checkpoint"], "lm.checkpoint")
+        identity["lm_checkpoint_files"] = {
+            f.name: fingerprint_file(f) for f in sorted(checkpoint.iterdir()) if f.is_file()}
+    name = kind if style is None else f"{kind}-{style.replace(' ', '_')}"
+    command = f"ppst {kind}" if style is None else f"ppst {kind} --style {style}"
+    return Stage(cfg["artifacts_dir"], name, identity, command)
+
+
+@contextlib.contextmanager
+def _frozen(lm):
+    """Fail the enclosed training if it changed the frozen base LM."""
+    before = lm.checksum()
+    yield
+    if lm.checksum() != before:
+        raise CompatibilityError("frozen-LM contract violated: training changed the "
+                                 f"base LM {lm.lm_id}")
+
+
 # ---------------------------------------------------------------------------
 # corpus stage
-
-
-def corpus_run_dir(cfg):
-    return _stage_dir(cfg, "build-corpus", ["corpus"])
-
-
-def _corpus_paths(cfg):
-    run_dir, _, _ = corpus_run_dir(cfg)
-    return run_dir / "passages.jsonl", run_dir / "captions.jsonl"
 
 
 def cmd_build_corpus(cfg, force=False):
@@ -185,63 +206,43 @@ def cmd_build_corpus(cfg, force=False):
         inputs.append(fingerprint_file(caption_path))
     input_fp = fingerprint_json(inputs)
 
-    run_dir, config_hash, resolved = corpus_run_dir(cfg)
-    if not force and run_is_up_to_date(run_dir, config_hash, input_fp):
-        print(f"build-corpus: up to date ({run_dir})")
+    stage = _stage(cfg, "build-corpus")
+    if stage.skip(input_fp, force):
         return 0
+    catalog = corpus_mod.GenreCatalog.from_table(catalog_path)
+    books = [(f.stem, f.read_text(encoding="utf-8")) for f in book_files]
+    pairs = []
+    if caption_path:
+        pairs = corpus_mod.load_caption_pairs(caption_path)
+        pairs = corpus_mod.subsample(pairs, section["caption_fraction"], cfg["seed"])
 
-    with run_lock(run_dir):
-        catalog = corpus_mod.GenreCatalog.from_table(catalog_path)
-        books = [(f.stem, f.read_text(encoding="utf-8")) for f in book_files]
+    with stage.run(input_fp) as (out, manifest):
         passages = corpus_mod.build_styled_passages(books, catalog)
-        corpus_mod.save_passages(passages, run_dir / "passages.jsonl")
-
+        corpus_mod.save_passages(passages, out / "passages.jsonl")
         counts = corpus_mod.genre_counts(passages)
-        (run_dir / "genre_counts.json").write_text(json.dumps(counts, indent=2,
-                                                              sort_keys=True))
+        (out / "genre_counts.json").write_text(json.dumps(counts, indent=2,
+                                                          sort_keys=True))
         print(f"build-corpus: {len(passages)} passages from {len(books)} books")
         for genre in corpus_mod.RECOGNIZED_GENRES:
             print(f"  {genre:>16}: {counts[genre]}")
-
-        n_pairs = 0
         if caption_path:
-            pairs = corpus_mod.load_caption_pairs(caption_path)
-            pairs = corpus_mod.subsample(pairs, section["caption_fraction"], cfg["seed"])
-            corpus_mod.save_caption_pairs(pairs, run_dir / "captions.jsonl")
-            n_pairs = len(pairs)
-            print(f"build-corpus: kept {n_pairs} caption pairs "
+            corpus_mod.save_caption_pairs(pairs, out / "captions.jsonl")
+            print(f"build-corpus: kept {len(pairs)} caption pairs "
                   f"(fraction {section['caption_fraction']})")
-
-        manifest = base_manifest("build-corpus", config_hash, input_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = ["passages.jsonl", "genre_counts.json"]
-        if caption_path:
-            manifest["outputs"].append("captions.jsonl")
-        manifest["n_passages"] = len(passages)
-        manifest["n_caption_pairs"] = n_pairs
-        write_manifest(run_dir, manifest)
+        manifest.update(n_passages=len(passages), n_caption_pairs=len(pairs))
     return 0
 
 
-def _load_corpus_outputs(cfg, need_captions=False, need_passages=False):
-    passages_path, captions_path = _corpus_paths(cfg)
-    if (need_passages and not passages_path.exists()) or \
-            (need_captions and not captions_path.exists()):
-        raise InputError("corpus outputs missing; run `ppst build-corpus` first",
-                         ref=str(passages_path.parent))
-    passages = (corpus_mod.load_passages(passages_path)
-                if passages_path.exists() else [])
-    captions = (corpus_mod.load_caption_pairs(captions_path)
-                if captions_path.exists() else [])
-    return passages, captions
+def _read_corpus(cfg):
+    """(passages, caption pairs) of the complete build-corpus run."""
+    run_dir = _stage(cfg, "build-corpus").require()
+    captions = run_dir / "captions.jsonl"
+    return (corpus_mod.load_passages(run_dir / "passages.jsonl"),
+            corpus_mod.load_caption_pairs(captions) if captions.exists() else [])
 
 
 # ---------------------------------------------------------------------------
 # base LM materialization
-
-
-def base_lm_dir(cfg):
-    return _stage_dir(cfg, "base-lm", ["corpus", "lm"])
 
 
 def ensure_base_lm(cfg, force=False):
@@ -252,67 +253,53 @@ def ensure_base_lm(cfg, force=False):
     if section["checkpoint"]:
         return CausalTransformerLM.load(_require(section["checkpoint"], "lm.checkpoint"))
 
-    run_dir, config_hash, resolved = base_lm_dir(cfg)
-    checkpoint = run_dir / "checkpoints" / "lm"
-    passages, captions = _load_corpus_outputs(cfg)
+    stage = _stage(cfg, "base-lm")
+    passages, captions = _read_corpus(cfg)
     texts = [p.text for p in passages] + [c.caption_text for c in captions]
     if not texts:
         raise InputError("no corpus text to build a base LM from", ref="corpus")
     input_fp = fingerprint_json(texts)
-    if not force and run_is_up_to_date(run_dir, config_hash, input_fp):
-        return CausalTransformerLM.load(checkpoint)
-
-    with run_lock(run_dir):
-        tokenizer = WordTokenizer.build(texts, max_vocab=section["max_vocab"])
-        lm_config = LmConfig(vocab_size=tokenizer.vocab_size,
-                             n_layer=section["n_layer"], n_head=section["n_head"],
-                             d_model=section["d_model"], d_ff=section["d_ff"],
-                             max_seq_len=section["max_seq_len"])
-        lm = CausalTransformerLM(lm_config, tokenizer, seed=cfg["seed"])
-        if section["pretrain_epochs"] > 0:
-            train_cfg = AdapterTrainConfig(
-                max_epochs=section["pretrain_epochs"],
-                learning_rate=section["learning_rate"],
-                batch_size=section["batch_size"],
-                max_seq_len=section["max_seq_len"],
-                seed=cfg["seed"], val_fraction=0.0)
-            all_passages = passages or []
-            if all_passages:
-                lm, _ = train_full_finetune(all_passages, lm, train_cfg)
-            if captions:
-                train_on_texts([c.caption_text for c in captions], lm, train_cfg,
-                               "base-lm captions")
-        lm.lm_id = f"base-lm-{config_hash[:8]}"
-        lm.save(checkpoint)
-        manifest = base_manifest("base-lm", config_hash, input_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = ["checkpoints/lm"]
-        manifest["lm_id"] = lm.lm_id
-        manifest["lm_fingerprint"] = lm.fingerprint()
-        write_manifest(run_dir, manifest)
+    if not stage.skip(input_fp, force):
+        with stage.run(input_fp) as (out, manifest):
+            tokenizer = WordTokenizer.build(texts, max_vocab=section["max_vocab"])
+            lm_config = LmConfig(vocab_size=tokenizer.vocab_size,
+                                 n_layer=section["n_layer"], n_head=section["n_head"],
+                                 d_model=section["d_model"], d_ff=section["d_ff"],
+                                 max_seq_len=section["max_seq_len"])
+            lm = CausalTransformerLM(lm_config, tokenizer, seed=cfg["seed"])
+            if section["pretrain_epochs"] > 0:
+                train_cfg = AdapterTrainConfig(
+                    max_epochs=section["pretrain_epochs"],
+                    learning_rate=section["learning_rate"],
+                    batch_size=section["batch_size"],
+                    max_seq_len=section["max_seq_len"],
+                    seed=cfg["seed"], val_fraction=0.0)
+                if passages:
+                    lm, _ = train_full_finetune(passages, lm, train_cfg)
+                if captions:
+                    train_on_texts([c.caption_text for c in captions], lm, train_cfg,
+                                   "base-lm captions")
+            lm.lm_id = f"base-lm-{stage.config_hash[:8]}"
+            lm.save(out / "checkpoints" / "lm")
+            manifest.update(lm_id=lm.lm_id, lm_fingerprint=lm.fingerprint())
         print(f"base-lm: built {lm.lm_id} (vocab {tokenizer.vocab_size})")
-    return CausalTransformerLM.load(checkpoint)
+    return CausalTransformerLM.load(stage.dir / "checkpoints" / "lm")
 
 
 # ---------------------------------------------------------------------------
 # training stages
 
 
-def mapper_run_dir(cfg):
-    return _stage_dir(cfg, "train-mapper", ["corpus", "encoder", "lm", "mapper"])
-
-
 def cmd_train_mapper(cfg, force=False):
-    _, captions = _load_corpus_outputs(cfg, need_captions=True)
+    _, captions = _read_corpus(cfg)
     if not captions:
         raise InputError("caption dataset is empty", ref="captions.jsonl")
     encoder = _encoder(cfg)
     lm = ensure_base_lm(cfg, force=False)
 
-    run_dir, config_hash, resolved = mapper_run_dir(cfg)
+    stage = _stage(cfg, "train-mapper")
     input_fp = mapper_data_fingerprint(captions)
-    if not force and run_is_up_to_date(run_dir, config_hash, input_fp):
-        print(f"train-mapper: up to date ({run_dir})")
+    if stage.skip(input_fp, force):
         return 0
 
     section = cfg["mapper"]
@@ -326,11 +313,10 @@ def cmd_train_mapper(cfg, force=False):
                                   batch_size=section["batch_size"],
                                   max_seq_len=section["max_seq_len"],
                                   seed=cfg["seed"])
-    with run_lock(run_dir):
-        checksum_before = lm.checksum()
-        mapper, loss_log = train_mapper(captions, encoder, lm, train_cfg, mapper_config)
-        assert lm.checksum() == checksum_before, "frozen-LM contract violated"
-        mapper.save(run_dir / "checkpoints" / "mapper", extra_manifest={
+    with stage.run(input_fp) as (out, manifest):
+        with _frozen(lm):
+            mapper, loss_log = train_mapper(captions, encoder, lm, train_cfg, mapper_config)
+        mapper.save(out / "checkpoints" / "mapper", extra_manifest={
             "train_config": vars(train_cfg),
             "encoder_model_id": encoder.model_id,
             "lm_id": lm.lm_id,
@@ -338,23 +324,11 @@ def cmd_train_mapper(cfg, force=False):
             "data_fingerprint": input_fp,
             "final_loss": loss_log[-1]["train_loss"],
         })
-        with open(run_dir / "loss_log.jsonl", "w") as fh:
-            for entry in loss_log:
-                fh.write(json.dumps(entry) + "\n")
-        manifest = base_manifest("train-mapper", config_hash, input_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = ["checkpoints/mapper", "loss_log.jsonl"]
-        manifest["encoder_model_id"] = encoder.model_id
-        manifest["lm_id"] = lm.lm_id
-        write_manifest(run_dir, manifest)
-        print(f"train-mapper: final loss {loss_log[-1]['train_loss']:.4f} "
-              f"after {len(loss_log)} epochs")
+        write_jsonl(out / "loss_log.jsonl", loss_log)
+        manifest.update(encoder_model_id=encoder.model_id, lm_id=lm.lm_id)
+    print(f"train-mapper: final loss {loss_log[-1]['train_loss']:.4f} "
+          f"after {len(loss_log)} epochs")
     return 0
-
-
-def adapter_run_dir(cfg, style):
-    return _stage_dir(cfg, f"train-adapter-{style.replace(' ', '_')}",
-                      ["corpus", "lm", "adapters"], extra=style)
 
 
 def cmd_train_adapter(cfg, style, force=False):
@@ -362,17 +336,16 @@ def cmd_train_adapter(cfg, style, force=False):
     known = list(section["styles"]) + ["non-styled"]
     if style not in known:
         raise InputError(f"unknown style {style!r}; configured: {known}", ref=style)
-    passages, _ = _load_corpus_outputs(cfg, need_passages=True)
+    passages, _ = _read_corpus(cfg)
     if style != "non-styled":
         passages = corpus_mod.filter_by_style(passages, style)
     if not passages:
         raise InputError(f"no passages for style {style!r}", ref=style)
     lm = ensure_base_lm(cfg, force=False)
 
-    run_dir, config_hash, resolved = adapter_run_dir(cfg, style)
+    stage = _stage(cfg, "train-adapter", style, extra=style)
     input_fp = adapter_data_fingerprint(passages)
-    if not force and run_is_up_to_date(run_dir, config_hash, input_fp):
-        print(f"train-adapter[{style}]: up to date ({run_dir})")
+    if stage.skip(input_fp, force):
         return 0
 
     train_cfg = AdapterTrainConfig(max_epochs=section["max_epochs"],
@@ -382,38 +355,27 @@ def cmd_train_adapter(cfg, style, force=False):
                                    seed=cfg["seed"],
                                    val_fraction=section["val_fraction"],
                                    patience=section["patience"])
-    with run_lock(run_dir):
-        checksum_before = lm.checksum()
+    with stage.run(input_fp) as (out, manifest):
         if style == "non-styled":
             tuned, loss_log = train_full_finetune(passages, lm, train_cfg)
-            tuned.save(run_dir / "checkpoints" / "lm_finetuned")
-            outputs = ["checkpoints/lm_finetuned"]
+            tuned.save(out / "checkpoints" / "lm_finetuned")
         else:
             adapter_config = None
             if section["bottleneck_dim"]:
                 adapter_config = AdapterConfig(bottleneck_dim=section["bottleneck_dim"],
                                                activation=section["activation"])
-            adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
-                                                  adapter_config=adapter_config)
-            assert lm.checksum() == checksum_before, "frozen-LM contract violated"
-            adapter_set.save(run_dir / "checkpoints" / "adapter", extra_manifest={
+            with _frozen(lm):
+                adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
+                                                      adapter_config=adapter_config)
+            adapter_set.save(out / "checkpoints" / "adapter", extra_manifest={
                 "train_config": vars(train_cfg),
                 "data_fingerprint": input_fp,
                 "final_loss": loss_log[-1]["train_loss"],
             })
-            outputs = ["checkpoints/adapter"]
-        with open(run_dir / "loss_log.jsonl", "w") as fh:
-            for entry in loss_log:
-                fh.write(json.dumps(entry) + "\n")
-        manifest = base_manifest(f"train-adapter-{style}", config_hash, input_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = outputs + ["loss_log.jsonl"]
-        manifest["style"] = style
-        manifest["n_passages"] = len(passages)
-        write_manifest(run_dir, manifest)
-        final = loss_log[-1]["train_loss"] if loss_log else float("nan")
-        print(f"train-adapter[{style}]: {len(passages)} passages, "
-              f"final loss {final:.4f}")
+        write_jsonl(out / "loss_log.jsonl", loss_log)
+        manifest.update(style=style, n_passages=len(passages))
+    final = loss_log[-1]["train_loss"] if loss_log else float("nan")
+    print(f"train-adapter[{style}]: {len(passages)} passages, final loss {final:.4f}")
     return 0
 
 
@@ -421,32 +383,15 @@ def cmd_train_adapter(cfg, style, force=False):
 # generation and evaluation
 
 
-def _resolve_styled_model(cfg, style):
-    lm = ensure_base_lm(cfg, force=False)
+def _styled_model(cfg, style, lm):
     if style == "plain":
         return StyledLanguageModel(lm, None, "plain")
+    run_dir = _stage(cfg, "train-adapter", style, extra=style).require()
     if style == "non-styled":
-        run_dir, _, _ = adapter_run_dir(cfg, "non-styled")
-        checkpoint = run_dir / "checkpoints" / "lm_finetuned"
-        if not checkpoint.exists():
-            raise InputError("non-styled model missing; run "
-                             "`ppst train-adapter --style non-styled` first",
-                             ref=str(checkpoint))
-        return StyledLanguageModel(CausalTransformerLM.load(checkpoint), None,
-                                   "full_finetune")
-    run_dir, _, _ = adapter_run_dir(cfg, style)
-    checkpoint = run_dir / "checkpoints" / "adapter"
-    if not checkpoint.exists():
-        raise InputError(f"adapter for style {style!r} missing; run "
-                         f"`ppst train-adapter --style {style}` first",
-                         ref=str(checkpoint))
-    return attach(lm, StyleAdapterSet.load(checkpoint, lm))
-
-
-def generate_run_dir(cfg, style, image_fp):
-    return _stage_dir(cfg, f"generate-{style.replace(' ', '_')}",
-                      ["corpus", "encoder", "lm", "mapper", "adapters", "decode"],
-                      extra={"style": style, "images": image_fp})
+        return StyledLanguageModel(
+            CausalTransformerLM.load(run_dir / "checkpoints" / "lm_finetuned"), None,
+            "full_finetune")
+    return attach(lm, StyleAdapterSet.load(run_dir / "checkpoints" / "adapter", lm))
 
 
 def _list_images(images):
@@ -465,34 +410,36 @@ def _list_images(images):
 def cmd_generate(cfg, images, style, force=False):
     image_files = _list_images(images)
     image_fp = fingerprint_json([fingerprint_file(f) for f in image_files])
-    run_dir, config_hash, resolved = generate_run_dir(cfg, style, image_fp)
-    if not force and run_is_up_to_date(run_dir, config_hash, image_fp):
-        print(f"generate[{style}]: up to date ({run_dir})")
+    stage = _stage(cfg, "generate", style, extra={"style": style, "images": image_fp})
+    if stage.skip(image_fp, force):
         return 0
 
-    mapper_dir, _, _ = mapper_run_dir(cfg)
-    mapper_ckpt = mapper_dir / "checkpoints" / "mapper"
-    if not mapper_ckpt.exists():
-        raise InputError("mapper checkpoint missing; run `ppst train-mapper` first",
-                         ref=str(mapper_ckpt))
+    mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
     mapper = PrefixMapper.load(mapper_ckpt)
     encoder = _encoder(cfg)
-    model = _resolve_styled_model(cfg, style)
+    lm = ensure_base_lm(cfg, force=False)
+    # the mapper must come from this base LM and encoder, also for non-styled,
+    # whose fine-tuned LM reuses the base LM's mapper
+    trained = read_manifest(mapper_ckpt)
+    if (trained.get("lm_fingerprint"), trained.get("encoder_model_id")) != \
+            (lm.fingerprint(), encoder.model_id):
+        raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
+                                 "base LM or encoder; run `ppst --force train-mapper`")
+    model = _styled_model(cfg, style, lm)
     decode_kwargs = {k: v for k, v in cfg["decode"].items() if k != "seed"}
     decode_cfg = DecodeConfig(seed=cfg["seed"], **decode_kwargs)
 
-    with run_lock(run_dir):
-        records_dir = run_dir / "records"
-        records_dir.mkdir(parents=True, exist_ok=True)
-        n_ok = 0
-        with open(records_dir / "records.jsonl", "w", encoding="utf-8") as rec_fh, \
-                open(records_dir / "timings.jsonl", "w", encoding="utf-8") as time_fh:
+    n_ok = 0
+    with stage.run(image_fp) as (out, manifest):
+        (out / "records").mkdir()
+        with open(out / "records" / "records.jsonl", "w", encoding="utf-8") as rec_fh, \
+                open(out / "records" / "timings.jsonl", "w", encoding="utf-8") as time_fh:
             for image in image_files:
                 try:
                     embedding = encoder.encode_image(image)
                     prefix = mapper.map_prefix(embedding)
                     record = generate(prefix, model, decode_cfg, image_ref=str(image))
-                except InputError as exc:
+                except PpstError as exc:
                     rec_fh.write(json.dumps({"image_ref": str(image),
                                              "error": str(exc)},
                                             sort_keys=True) + "\n")
@@ -502,41 +449,19 @@ def cmd_generate(cfg, images, style, force=False):
                 time_fh.write(json.dumps({"image_ref": str(image),
                                           "wall_time_s": record.wall_time_s}) + "\n")
                 n_ok += 1
-        manifest = base_manifest(f"generate-{style}", config_hash, image_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = ["records/records.jsonl", "records/timings.jsonl"]
-        manifest["n_records"] = n_ok
-        manifest["n_images"] = len(image_files)
-        manifest["model"] = model.manifest()
-        write_manifest(run_dir, manifest)
-        print(f"generate[{style}]: {n_ok}/{len(image_files)} records -> "
-              f"{records_dir / 'records.jsonl'}")
+        manifest.update(n_records=n_ok, n_images=len(image_files), model=model.manifest())
+    print(f"generate[{style}]: {n_ok}/{len(image_files)} records -> "
+          f"{stage.dir / 'records' / 'records.jsonl'}")
     return 0
-
-
-def evaluate_run_dir(cfg, records_fp, gold_fp):
-    return _stage_dir(cfg, "evaluate", ["encoder", "eval"],
-                      extra={"records": records_fp, "gold": gold_fp})
 
 
 def cmd_evaluate(cfg, records_path, gold_path, force=False):
     records_path = _require(records_path, "records file")
     gold_path = _require(gold_path, "gold captions file")
-
-    class _Row:
-        def __init__(self, image_ref, story_text, style):
-            self.image_ref = image_ref
-            self.story_text = story_text
-            self.style = style
-
-    rows = []
-    with open(records_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "story" in obj:
-                rows.append(_Row(obj["image_ref"], obj["story"], obj.get("style", "")))
+    # lines of images that generate skipped carry no story
+    rows = read_jsonl(records_path, lambda rec: SimpleNamespace(
+        image_ref=rec["image_ref"], story_text=rec["story"], style=rec.get("style", ""))
+        if "story" in rec else None)
     if not rows:
         raise InputError(f"no evaluable records in {records_path}", ref=str(records_path))
 
@@ -546,10 +471,9 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
 
     records_fp = fingerprint_file(records_path)
     gold_fp = fingerprint_file(gold_path)
-    run_dir, config_hash, resolved = evaluate_run_dir(cfg, records_fp, gold_fp)
+    stage = _stage(cfg, "evaluate", extra={"records": records_fp, "gold": gold_fp})
     input_fp = fingerprint_json([records_fp, gold_fp])
-    if not force and run_is_up_to_date(run_dir, config_hash, input_fp):
-        print(f"evaluate: up to date ({run_dir})")
+    if stage.skip(input_fp, force):
         return 0
 
     report = evaluate_run(rows, references, encoder=_encoder(cfg),
@@ -560,21 +484,15 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
         raise InputError("no record had gold references; nothing to evaluate",
                          ref=str(records_path))
 
-    with run_lock(run_dir):
-        reports_dir = run_dir / "reports"
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        (reports_dir / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
-        (reports_dir / "report.txt").write_text(report.to_table(), encoding="utf-8")
-        manifest = base_manifest("evaluate", config_hash, input_fp)
-        manifest["resolved_config"] = resolved
-        manifest["outputs"] = ["reports/report.jsonl", "reports/report.txt"]
-        manifest["n_items"] = len(report.per_item)
-        manifest["unavailable"] = sorted(report.unavailable)
-        write_manifest(run_dir, manifest)
-        print(report.to_table())
-        if report.unavailable:
-            print(f"evaluate: unavailable metrics: {', '.join(sorted(report.unavailable))}")
-        print(f"evaluate: report -> {reports_dir / 'report.jsonl'}")
+    with stage.run(input_fp) as (out, manifest):
+        (out / "reports").mkdir()
+        (out / "reports" / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
+        (out / "reports" / "report.txt").write_text(report.to_table(), encoding="utf-8")
+        manifest.update(n_items=len(report.per_item), unavailable=sorted(report.unavailable))
+    print(report.to_table())
+    if report.unavailable:
+        print(f"evaluate: unavailable metrics: {', '.join(sorted(report.unavailable))}")
+    print(f"evaluate: report -> {stage.dir / 'reports' / 'report.jsonl'}")
     return 0
 
 
@@ -621,9 +539,6 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"ppst {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ConfigurationError) as exc:
-        print(f"ppst {args.command}: {exc}", file=sys.stderr)
-        return 2
     except PpstError as exc:
         print(f"ppst {args.command}: {exc}", file=sys.stderr)
         return 2

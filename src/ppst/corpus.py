@@ -9,7 +9,6 @@ that style appears among the first three of its genre labels.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .errors import ConfigurationError, InputError
 
 CANONICAL_GENRES = (
@@ -186,39 +186,22 @@ def genre_counts(passages):
 
 
 def save_passages(passages, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in passages:
-            fh.write(json.dumps({"text": p.text, "word_count": p.word_count,
-                                 "genres": p.genres, "source_title": p.source_title},
-                                ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"text": p.text, "word_count": p.word_count, "genres": p.genres,
+                        "source_title": p.source_title} for p in passages))
 
 
 def load_passages(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append(StyledPassage(text=rec["text"], word_count=rec["word_count"],
-                                         genres=rec["genres"],
-                                         source_title=rec["source_title"]))
-    return out
+    return read_jsonl(path, lambda rec: StyledPassage(
+        text=rec["text"], word_count=rec["word_count"], genres=rec["genres"],
+        source_title=rec["source_title"]))
 
 
 def save_caption_pairs(pairs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({"image_ref": p.image_ref, "caption": p.caption_text,
-                                 "split": p.split}, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"image_ref": p.image_ref, "caption": p.caption_text,
+                        "split": p.split} for p in pairs))
 
 
 def load_caption_pairs(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append(ImageCaptionPair(image_ref=rec["image_ref"],
-                                            caption_text=rec["caption"],
-                                            split=rec.get("split", "train")))
-    return out
+    return read_jsonl(path, lambda rec: ImageCaptionPair(
+        image_ref=rec["image_ref"], caption_text=rec["caption"],
+        split=rec.get("split", "train")))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import fingerprint_bytes
+from .artifacts import read_json
 from .errors import ConfigurationError, InputError
 
 _NORM_TOL = 1e-4
@@ -215,10 +215,9 @@ class HashedNgramEncoder(ImageTextEncoder):
         return VisualEmbedding(vector=vec, model_id=self.model_id)
 
     def checksum(self):
-        return fingerprint_bytes(self.projection.tobytes()
-                                 + self.model_id.encode()
-                                 + struct.pack("<III", self.embed_dim, self.n_buckets,
-                                               self.max_text_tokens))
+        return hashlib.sha256(self.projection.tobytes() + self.model_id.encode()
+                              + struct.pack("<III", self.embed_dim, self.n_buckets,
+                                            self.max_text_tokens)).hexdigest()
 
     def save(self, directory):
         directory = Path(directory)
@@ -235,7 +234,7 @@ class HashedNgramEncoder(ImageTextEncoder):
 
     @classmethod
     def load(cls, directory):
-        meta = json.loads((Path(directory) / "encoder.json").read_text())
+        meta = read_json(Path(directory) / "encoder.json")
         if meta.get("kind") != "hashed_ngram_encoder":
             raise ConfigurationError(f"{directory} is not an encoder checkpoint")
         enc = cls(embed_dim=meta["embed_dim"], model_id=meta["model_id"],

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .artifacts import (load_tensors, read_manifest, save_tensors, strict_checksum,
-                        tensors_fingerprint, write_manifest)
+from .artifacts import (load_checkpoint, save_checkpoint, strict_checksum,
+                        tensors_fingerprint)
 from .errors import ConfigurationError
 from .tokenizer import WordTokenizer
 
@@ -133,30 +133,18 @@ class CausalTransformerLM:
 
     def save(self, directory):
         directory = Path(directory)
-        save_tensors(directory, {k: p.value for k, p in self.params().items()})
+        directory.mkdir(parents=True, exist_ok=True)
         self.tokenizer.save(directory / "vocab.json")
-        write_manifest(directory, {
-            "kind": "causal_lm",
-            "lm_id": self.lm_id,
-            "seed": self.seed,
-            "config": asdict(self.config),
-            "fingerprint": self.fingerprint(),
-        })
-        return directory
+        return save_checkpoint(directory, "causal_lm", self.params(), {
+            "lm_id": self.lm_id, "seed": self.seed, "config": asdict(self.config),
+            "fingerprint": self.fingerprint()})
 
     @classmethod
     def load(cls, directory):
         directory = Path(directory)
-        manifest = read_manifest(directory)
-        if manifest is None or manifest.get("kind") != "causal_lm":
-            raise ConfigurationError(f"{directory} is not a language-model checkpoint")
-        tokenizer = WordTokenizer.load(directory / "vocab.json")
-        config = LmConfig(**manifest["config"])
-        model = cls(config, tokenizer, seed=manifest.get("seed", 0), lm_id=manifest["lm_id"])
-        tensors = load_tensors(directory)
-        for name, param in model.params().items():
-            param.value[...] = tensors[name]
-        return model
+        return load_checkpoint(directory, "causal_lm", lambda manifest: cls(
+            LmConfig(**manifest["config"]), WordTokenizer.load(directory / "vocab.json"),
+            seed=manifest.get("seed", 0), lm_id=manifest["lm_id"]))
 
     def clone(self):
         """Deep copy with independent parameters."""

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .artifacts import (fingerprint_json, load_tensors, read_manifest, save_tensors,
-                        write_manifest)
+from .artifacts import fingerprint_json, load_checkpoint, save_checkpoint
 from .encoding import VisualEmbedding
 from .errors import ConfigurationError, TrainingDiverged
 from .nn import masked_cross_entropy
@@ -106,24 +104,13 @@ class PrefixMapper:
         return VisualPrefix(matrix=prefix[0])
 
     def save(self, directory, extra_manifest=None):
-        directory = Path(directory)
-        save_tensors(directory, {k: p.value for k, p in self.params().items()})
-        manifest = {"kind": "prefix_mapper", "seed": self.seed,
-                    "config": asdict(self.config)}
-        manifest.update(extra_manifest or {})
-        write_manifest(directory, manifest)
-        return directory
+        return save_checkpoint(directory, "prefix_mapper", self.params(), {
+            "seed": self.seed, "config": asdict(self.config), **(extra_manifest or {})})
 
     @classmethod
     def load(cls, directory):
-        manifest = read_manifest(directory)
-        if manifest is None or manifest.get("kind") != "prefix_mapper":
-            raise ConfigurationError(f"{directory} is not a mapper checkpoint")
-        mapper = cls(MapperConfig(**manifest["config"]), seed=manifest.get("seed", 0))
-        tensors = load_tensors(directory)
-        for name, param in mapper.params().items():
-            param.value[...] = tensors[name]
-        return mapper
+        return load_checkpoint(directory, "prefix_mapper", lambda manifest: cls(
+            MapperConfig(**manifest["config"]), seed=manifest.get("seed", 0)))
 
 
 def map_prefix(embedding, mapper):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .artifacts import read_json
+
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 SPECIALS = (PAD, BOS, EOS, UNK)
 
@@ -49,7 +51,7 @@ class WordTokenizer:
 
     @classmethod
     def load(cls, path):
-        itos = json.loads(Path(path).read_text())
+        itos = read_json(path)
         tok = cls.__new__(cls)
         tok.itos = itos
         tok.stoi = {w: i for i, w in enumerate(itos)}

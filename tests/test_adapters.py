@@ -3,8 +3,8 @@ import pytest
 
 from conftest import make_tiny_lm
 from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
-                           StyleAdapterSet, StyledLanguageModel, adapter_forward,
-                           attach, default_adapter_config, train_adapter,
+                           StyleAdapterSet, StyledLanguageModel, attach,
+                           default_adapter_config, train_adapter,
                            train_full_finetune)
 from ppst.corpus import StyledPassage
 from ppst.errors import CompatibilityError, ConfigurationError
@@ -34,19 +34,19 @@ def test_adapter_forward_matches_direct_formula():
     up = np.maximum(down, 0.0) @ block.up.w.value + block.up.b.value
     expected = h + up
 
-    assert np.allclose(adapter_forward(h, block), expected, atol=1e-6)
+    assert np.allclose(block.forward(h)[0], expected, atol=1e-6)
 
 
 def test_zero_up_projection_is_exact_identity():
     block = fresh_block()
     h = np.random.default_rng(3).standard_normal((4, 8))
-    assert np.array_equal(adapter_forward(h, block), h)
+    assert np.array_equal(block.forward(h)[0], h)
 
 
 def test_zero_input_zero_biases_gives_zero():
     block = fresh_block()
     block.down.b.value[...] = 0.0
-    assert np.array_equal(adapter_forward(np.zeros(8), block), np.zeros(8))
+    assert np.array_equal(block.forward(np.zeros(8))[0], np.zeros(8))
 
 
 def test_bottleneck_must_be_smaller_than_hidden():

@@ -1,0 +1,280 @@
+"""Run-directory commit path: crashes, locks, swapped checkpoints, corrupt files.
+
+Every test that damages or replaces an artifact works on its own copy of one
+shared pipeline run.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from ppst import cli
+from ppst.artifacts import run_lock
+from ppst.errors import ConfigurationError
+from ppst.lm import CausalTransformerLM
+from test_cli import build_workspace, run_dirs
+
+
+def run(config_path, *argv):
+    return cli.main(["--config", str(config_path), *argv])
+
+
+def exits_2_naming(path, capsys, config_path, *argv):
+    """Run one command; it must exit 2 with `path` in a one-line message."""
+    capsys.readouterr()
+    assert run(config_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err, err
+    return err
+
+
+def crash_on_call(monkeypatch, name, n):
+    """Make `cli.<name>` raise a non-package error on its n-th call."""
+    real = getattr(cli, name)
+    calls = []
+
+    def crashing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise RuntimeError("process killed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, crashing)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pipeline")
+    config_path, cfg = build_workspace(tmp)
+    for argv in (["build-corpus"], ["train-mapper"],
+                 ["train-adapter", "--style", "romance"]):
+        assert run(config_path, *argv) == 0
+    return tmp, cfg
+
+
+@pytest.fixture
+def workspace(pipeline, tmp_path):
+    """(config path, cfg, images dir) over a private copy of the pipeline's runs."""
+    tmp, shared = pipeline
+    cfg = dict(shared, artifacts_dir=str(tmp_path / "runs"))
+    shutil.copytree(shared["artifacts_dir"], cfg["artifacts_dir"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    return config_path, cfg, tmp / "images"
+
+
+# ---------------------------------------------------------------------------
+# staged commit
+
+
+def test_crashed_force_rerun_keeps_previous_run(workspace, monkeypatch, capsys):
+    config_path, cfg, images = workspace
+    generate = ["generate", "--style", "romance", "--images", str(images)]
+    assert run(config_path, *generate) == 0
+    (run_dir,) = run_dirs(cfg, "generate-romance-")
+    records = run_dir / "records" / "records.jsonl"
+    first = records.read_bytes()
+
+    crash_on_call(monkeypatch, "generate", 3)
+    with pytest.raises(RuntimeError):
+        run(config_path, "--force", *generate)
+    monkeypatch.undo()
+
+    capsys.readouterr()
+    assert run(config_path, *generate) == 0
+    assert "up to date" in capsys.readouterr().out
+    assert records.read_bytes() == first
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "records"]
+
+
+def test_crash_without_prior_run_leaves_no_manifest(workspace, monkeypatch, capsys):
+    config_path, cfg, images = workspace
+    crash_on_call(monkeypatch, "generate", 3)
+    with pytest.raises(RuntimeError):
+        run(config_path, "generate", "--style", "romance", "--images", str(images))
+    assert run_dirs(cfg, "generate-romance-") == []
+
+    (mapper_dir,) = run_dirs(cfg, "train-mapper-")
+    shutil.rmtree(mapper_dir)
+    crash_on_call(monkeypatch, "train_mapper", 1)
+    with pytest.raises(RuntimeError):
+        run(config_path, "train-mapper")
+    assert not (mapper_dir / "manifest.json").exists()
+    err = exits_2_naming(mapper_dir, capsys, config_path, "generate", "--style", "plain",
+                         "--images", str(images))
+    assert "run `ppst train-mapper` first" in err
+
+
+def test_rejected_input_creates_no_run_dir(workspace, tmp_path):
+    config_path, cfg, images = workspace
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"image_ref": "ghost", "story": "x"}) + "\n")
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"image_ref": "other", "caption": "y"}) + "\n")
+    assert run(config_path, "evaluate", "--records", str(records),
+               "--gold", str(gold)) == 2
+    assert run(config_path, "generate", "--style", "teen", "--images", str(images)) == 2
+    assert run_dirs(cfg, "evaluate-") == [] and run_dirs(cfg, "generate-") == []
+
+
+# ---------------------------------------------------------------------------
+# locks
+
+
+def test_stale_lock_of_exited_process_is_removed(tmp_path, capsys):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / ".lock").write_text(str(child.pid))
+    with run_lock(tmp_path / "run"):
+        assert (tmp_path / "run" / ".lock").read_text() == str(os.getpid())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "stale lock" in err and str(child.pid) in err
+    assert not (tmp_path / "run" / ".lock").exists()
+
+
+def test_lock_of_running_process_blocks_stage(workspace, capsys):
+    config_path, cfg, _ = workspace
+    (run_dir,) = run_dirs(cfg, "build-corpus-")
+    (run_dir / ".lock").write_text(str(os.getpid()))
+    err = exits_2_naming(run_dir, capsys, config_path, "--force", "build-corpus")
+    assert "locked" in err
+    assert (run_dir / ".lock").read_text() == str(os.getpid())
+    with pytest.raises(ConfigurationError, match="locked"):
+        with run_lock(run_dir):
+            pass
+
+
+# ---------------------------------------------------------------------------
+# swapped or foreign checkpoints
+
+
+def test_replaced_lm_checkpoint_is_not_up_to_date(workspace, capsys):
+    config_path, cfg, _ = workspace
+    (base_dir,) = run_dirs(cfg, "base-lm-")
+    checkpoint = config_path.parent / "lm"
+    shutil.copytree(base_dir / "checkpoints" / "lm", checkpoint)
+    cfg["lm"] = dict(cfg["lm"], checkpoint=str(checkpoint))
+    config_path.write_text(json.dumps(cfg))
+    assert run(config_path, "train-mapper") == 0
+    capsys.readouterr()
+    assert run(config_path, "train-mapper") == 0
+    assert "up to date" in capsys.readouterr().out
+
+    lm = CausalTransformerLM.load(checkpoint)
+    lm.head.b.value[0] += 1.0
+    lm.save(checkpoint)
+    assert run(config_path, "train-mapper") == 0
+    assert "up to date" not in capsys.readouterr().out
+
+
+def test_mapper_trained_on_another_lm_fails_generate(workspace, capsys):
+    config_path, cfg, images = workspace
+    (own,) = run_dirs(cfg, "train-mapper-")
+    for argv in (["build-corpus"], ["train-mapper"]):
+        assert run(config_path, "--seed", "8", *argv) == 0
+    (other,) = set(run_dirs(cfg, "train-mapper-")) - {own}
+    mapper = own / "checkpoints" / "mapper"
+    shutil.rmtree(mapper)
+    shutil.copytree(other / "checkpoints" / "mapper", mapper)
+    for style in ("romance", "non-styled"):
+        err = exits_2_naming(mapper, capsys, config_path, "generate", "--style", style,
+                             "--images", str(images))
+        assert "another base LM or encoder" in err
+
+
+def test_training_that_changes_the_frozen_lm_exits_2(workspace, monkeypatch, capsys):
+    config_path, cfg, _ = workspace
+    real = cli.train_adapter
+
+    def tamper(passages, lm, *args, **kwargs):
+        out = real(passages, lm, *args, **kwargs)
+        lm.head.b.value[0] += 1.0
+        return out
+
+    monkeypatch.setattr(cli, "train_adapter", tamper)
+    (run_dir,) = run_dirs(cfg, "train-adapter-romance-")
+    manifest = (run_dir / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert run(config_path, "--force", "train-adapter", "--style", "romance") == 2
+    assert "frozen-LM contract violated" in capsys.readouterr().err
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+
+
+# ---------------------------------------------------------------------------
+# per-image errors and corrupt files
+
+
+def test_any_package_error_on_one_image_becomes_an_error_record(workspace,
+                                                                 monkeypatch):
+    config_path, cfg, images = workspace
+    first = str(sorted(images.glob("*.pgm"))[0])
+    real = cli.generate
+
+    def refuse_first(prefix, model, decode_cfg, image_ref):
+        if image_ref == first:
+            raise ConfigurationError("no viable token after masking")
+        return real(prefix, model, decode_cfg, image_ref=image_ref)
+
+    monkeypatch.setattr(cli, "generate", refuse_first)
+    assert run(config_path, "generate", "--style", "plain", "--images", str(images)) == 0
+    (run_dir,) = run_dirs(cfg, "generate-plain-")
+    lines = [json.loads(l) for l in
+             (run_dir / "records" / "records.jsonl").read_text().splitlines()]
+    assert lines[0] == {"image_ref": first, "error": "no viable token after masking"}
+    assert all("story" in line for line in lines[1:])
+
+
+def test_corrupt_run_manifest_exits_2(workspace, capsys):
+    config_path, cfg, images = workspace
+    (mapper_dir,) = run_dirs(cfg, "train-mapper-")
+    manifest = mapper_dir / "manifest.json"
+    manifest.write_text(manifest.read_text()[:40])
+    exits_2_naming(manifest, capsys, config_path, "generate", "--style", "plain",
+                   "--images", str(images))
+
+
+def test_truncated_tensors_exit_2(workspace, capsys):
+    config_path, cfg, images = workspace
+    (mapper_dir,) = run_dirs(cfg, "train-mapper-")
+    tensors = mapper_dir / "checkpoints" / "mapper" / "tensors.bin"
+    tensors.write_bytes(tensors.read_bytes()[:100])
+    exits_2_naming(tensors, capsys, config_path, "generate", "--style", "plain",
+                   "--images", str(images))
+
+
+def test_bad_records_line_exits_2(workspace, tmp_path, capsys):
+    config_path, _, _ = workspace
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"image_ref": "a", "story": "x"}) + "\n{not json\n")
+    exits_2_naming(f"{records}, line 2", capsys, config_path, "evaluate",
+                   "--records", str(records), "--gold", str(records))
+
+
+def test_bad_passage_line_exits_2(workspace, capsys):
+    config_path, cfg, _ = workspace
+    (corpus_dir,) = run_dirs(cfg, "build-corpus-")
+    passages = corpus_dir / "passages.jsonl"
+    n = len(passages.read_text().splitlines())
+    with open(passages, "a") as fh:
+        fh.write(json.dumps({"text": "too short", "word_count": 2, "genres": ["romance"],
+                             "source_title": "x"}) + "\n")
+    exits_2_naming(f"{passages}, line {n + 1}", capsys, config_path, "--force",
+                   "train-adapter", "--style", "romance")
+
+
+def test_bad_caption_line_exits_2(workspace, tmp_path, capsys):
+    config_path, cfg, _ = workspace
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text(json.dumps({"image_ref": "a", "caption": "a cat"}) + "\n"
+                        + json.dumps({"image_ref": "b"}) + "\n")
+    cfg["corpus"] = dict(cfg["corpus"], captions=str(captions))
+    config_path.write_text(json.dumps(cfg))
+    before = run_dirs(cfg, "build-corpus-")
+    err = exits_2_naming(f"{captions}, line 2", capsys, config_path, "build-corpus")
+    assert "missing field 'caption'" in err
+    assert run_dirs(cfg, "build-corpus-") == before
