@@ -22,7 +22,7 @@ from . import nn
 from .artifacts import (fingerprint_json, load_checkpoint, save_checkpoint,
                         tensors_fingerprint)
 from .errors import CompatibilityError, ConfigurationError, TrainingDiverged
-from .lm import CausalTransformerLM, teacher_forced_batch
+from .lm import CausalTransformerLM, perplexity, sequence_nll, teacher_forced_batch
 from .nn import masked_cross_entropy
 
 
@@ -173,29 +173,44 @@ class StyledLanguageModel:
         """Plain view of the same base LM (exact base behavior)."""
         return StyledLanguageModel(self.base_lm, None, "plain")
 
+    def _anchor(self, prefix_matrix):
+        """The visual prefix, or without one the bos embedding (how text-only
+        training sequences start)."""
+        if prefix_matrix is None:
+            return self.base_lm.embed_tokens([self.base_lm.tokenizer.bos_id])
+        prefix_matrix = np.asarray(prefix_matrix, dtype=np.float64)
+        if (prefix_matrix.ndim != 2 or prefix_matrix.shape[0] == 0
+                or prefix_matrix.shape[1] != self.embed_dim):
+            raise ConfigurationError(
+                f"prefix shape {prefix_matrix.shape} is not (rows >= 1, {self.embed_dim})")
+        return prefix_matrix
+
     def next_token_logits(self, prefix_matrix, token_ids):
         """Logits for the next token given an optional visual prefix.
 
-        Without a prefix the sequence is anchored on the bos embedding, which
-        is also how text-only training sequences start.
+        Stateless full re-forward: the reference for `prefill` and `step`.
         """
-        if prefix_matrix is None:
-            rows = [self.base_lm.embed_tokens([self.base_lm.tokenizer.bos_id])]
-        else:
-            prefix_matrix = np.asarray(prefix_matrix, dtype=np.float64)
-            if prefix_matrix.ndim != 2 or prefix_matrix.shape[1] != self.embed_dim:
-                raise ConfigurationError(
-                    f"prefix shape {prefix_matrix.shape} does not match LM embedding "
-                    f"width {self.embed_dim}")
-            rows = [prefix_matrix]
+        rows = [self._anchor(prefix_matrix)]
         if len(token_ids):
             rows.append(self.base_lm.embed_tokens(list(token_ids)))
         embeds = np.concatenate(rows, axis=0)[None, :, :]
         logits, _ = self.base_lm.forward_embeds(embeds, self.adapters)
         return logits[0, -1]
 
+    def prefill(self, prefix_matrix):
+        """Run the anchor once: (logits (1, vocab) for the first token, past)."""
+        logits, cache = self.base_lm.forward_embeds(self._anchor(prefix_matrix)[None],
+                                                    self.adapters)
+        return logits[:, -1], self.base_lm.past_kv(cache)
+
+    def step(self, token_ids, past):
+        """Append token_ids[i] to row i of `past` (one row per beam): returns
+        (logits (beams, vocab) for each row's next token, the extended past)."""
+        embeds = self.base_lm.embed_tokens(token_ids)[:, None, :]
+        logits, cache = self.base_lm.forward_embeds(embeds, self.adapters, past)
+        return logits[:, -1], self.base_lm.past_kv(cache)
+
     def perplexity(self, token_lists, batch_size=16):
-        from .lm import perplexity
         return perplexity(self.base_lm, token_lists, self.adapters, batch_size)
 
     def decode(self, token_ids):
@@ -275,7 +290,6 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
             epoch_losses.append(loss)
         entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         if val:
-            from .lm import sequence_nll
             nll, count = sequence_nll(lm, val, adapters, cfg.batch_size)
             entry["val_loss"] = nll / max(count, 1)
             if entry["val_loss"] < best_val - 1e-9:

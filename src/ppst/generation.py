@@ -22,6 +22,10 @@ Conventions (documented, configurable where noted):
     the best live beam when nothing finished by max_length;
   * if every candidate is masked (n-gram saturation), the n-gram block is
     lifted for that single step and a warning is recorded.
+
+Decoding is incremental for models with the step API (`prefill`, `step`;
+see StyledLanguageModel). Their past is one (k, v) pair per layer, each
+(beams, heads, positions, head dim), with row i for live beam i.
 """
 
 from __future__ import annotations
@@ -228,12 +232,37 @@ def step_log_probs(raw_logits, token_ids, cfg, eos_id):
 # beam search
 
 
+def _beam_logits(model, prefix_matrix):
+    """A function (live beams, parent of each) -> raw next-token logits per beam.
+
+    With the step API the anchor runs once; each later call reorders the past
+    rows by parent beam and runs every live beam's newest token as one batch.
+    Other models are asked `next_token_logits` once per live beam.
+    """
+    if not hasattr(model, "prefill"):
+        return lambda live, parents: [
+            model.next_token_logits(prefix_matrix, list(beam.token_ids)) for beam in live]
+    past = None
+
+    def beam_logits(live, parents):
+        nonlocal past
+        if past is None:
+            logits, past = model.prefill(prefix_matrix)
+        else:
+            past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
+                    for k, v in past]
+            logits, past = model.step([beam.token_ids[-1] for beam in live], past)
+        return logits
+
+    return beam_logits
+
+
 def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord:
     """Beam-search a story from a visual prefix through a (styled) LM.
 
-    `prefix` is a VisualPrefix, a raw (length, embed_dim) matrix, or None for
-    bos-anchored text-only generation. The model needs `next_token_logits`,
-    `eos_id` and `decode`; see StyledLanguageModel.
+    `prefix` is a VisualPrefix, a raw (length >= 1, embed_dim) matrix, or None
+    for bos-anchored text-only generation. The model needs `eos_id`, `decode`
+    and either the step API or `next_token_logits`; see StyledLanguageModel.
     """
     started = time.perf_counter()
     prefix_matrix = prefix.matrix if isinstance(prefix, VisualPrefix) else prefix
@@ -241,11 +270,11 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
     if prefix_matrix is not None:
         prefix_matrix = np.asarray(prefix_matrix, dtype=np.float64)
         embed_dim = getattr(model, "embed_dim", None)
-        if embed_dim is not None and (prefix_matrix.ndim != 2
-                                      or prefix_matrix.shape[1] != embed_dim):
+        if (prefix_matrix.ndim != 2 or prefix_matrix.shape[0] == 0
+                or embed_dim not in (None, prefix_matrix.shape[1])):
             raise ConfigurationError(
-                f"prefix shape {prefix_matrix.shape} does not match model embedding "
-                f"width {embed_dim}")
+                f"prefix shape {prefix_matrix.shape} is not "
+                f"(rows >= 1, {embed_dim or 'embed_dim'})")
         prefix_rows = prefix_matrix.shape[0]
 
     run_warnings = []
@@ -262,13 +291,14 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
         raise ConfigurationError("no room to generate any token")
 
     eos_id = model.eos_id
+    beam_logits = _beam_logits(model, prefix_matrix)
     live = [BeamState((), 0.0)]
+    parents = None
     finished = []
 
     for step in range(max_length):
         candidates = []
-        for beam_idx, beam in enumerate(live):
-            raw = model.next_token_logits(prefix_matrix, list(beam.token_ids))
+        for beam_idx, (beam, raw) in enumerate(zip(live, beam_logits(live, parents))):
             log_probs, relaxed = step_log_probs(raw, beam.token_ids, cfg, eos_id)
             if relaxed:
                 run_warnings.append(f"n-gram block lifted at step {step}")
@@ -277,12 +307,14 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
                                    beam_idx, int(tok)))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         next_live = []
+        parents = []
         for score, beam_idx, tok in candidates:
             seq = live[beam_idx].token_ids + (tok,)
             if tok == eos_id:
                 finished.append(BeamState(seq, score, True))
             elif len(next_live) < cfg.beam_size:
                 next_live.append(BeamState(seq, score))
+                parents.append(beam_idx)
         live = next_live
         if not live:
             break

@@ -83,18 +83,25 @@ class CausalTransformerLM:
     def embed_tokens(self, ids):
         return self.tok_emb.value[np.asarray(ids, dtype=np.intp)]
 
-    def forward_embeds(self, embeds, adapters=None):
-        """embeds: (B, T, d_model) already in input-embedding space."""
+    def forward_embeds(self, embeds, adapters=None, past=None):
+        """embeds: (B, T, d_model) already in input-embedding space.
+
+        `past`, the `past_kv` of an earlier call (one (k, v) per layer, each
+        (B, H, S, dh)), puts the embeds at positions S..S+T-1 attending to the
+        S cached ones: the logits equal one call over all S + T positions.
+        Backward needs `past=None`, which starts at position 0.
+        """
         b, t, d = embeds.shape
-        if t > self.config.max_seq_len:
+        start = 0 if past is None else past[0][0].shape[2]
+        if start + t > self.config.max_seq_len:
             raise ConfigurationError(
-                f"sequence length {t} exceeds max_seq_len {self.config.max_seq_len}")
+                f"sequence length {start + t} exceeds max_seq_len {self.config.max_seq_len}")
         if adapters is not None and len(adapters) != len(self.blocks):
             raise ConfigurationError("one adapter block per transformer layer required")
-        h = embeds + self.pos_emb.value[:t]
+        h = embeds + self.pos_emb.value[start:start + t]
         caches = []
         for i, block in enumerate(self.blocks):
-            h, c = block.forward(h)
+            h, c = block.forward(h, None if past is None else past[i])
             if adapters is not None:
                 h, ac = adapters[i].forward(h)
             else:
@@ -103,6 +110,11 @@ class CausalTransformerLM:
         hn, ln_cache = self.ln_f.forward(h)
         logits, head_cache = self.head.forward(hn)
         return logits, (caches, ln_cache, head_cache)
+
+    @staticmethod
+    def past_kv(cache):
+        """Per-layer (k, v) over every position of a `forward_embeds` cache."""
+        return [attn_cache[2:4] for (_, attn_cache, _, _), _ in cache[0]]
 
     def backward(self, dlogits, cache, adapters=None):
         caches, ln_cache, head_cache = cache

@@ -155,12 +155,18 @@ class CausalSelfAttention:
         b, h, t, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
-    def forward(self, x):
+    def forward(self, x, past=None):
+        """`past=(k, v)`, each (B, H, S, dh), puts x at positions S.. (forward
+        only); the cache's k and v cover all S + T positions."""
         b, t, d = x.shape
         qkv, qkv_cache = self.qkv.forward(x)
         q, k, v = (self._split(a) for a in np.split(qkv, 3, axis=-1))
+        if past is not None:
+            k = np.concatenate([past[0], k], axis=2)
+            v = np.concatenate([past[1], v], axis=2)
+        s = k.shape[2]
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
-        mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+        mask = np.triu(np.ones((t, s), dtype=bool), k=s - t + 1)
         scores[..., mask] = -np.inf
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
@@ -215,9 +221,9 @@ class TransformerBlock:
         self.ln2 = LayerNorm(d_model)
         self.mlp = Mlp(d_model, d_ff, rng)
 
-    def forward(self, x):
+    def forward(self, x, past=None):
         n1, ln1_cache = self.ln1.forward(x)
-        a, attn_cache = self.attn.forward(n1)
+        a, attn_cache = self.attn.forward(n1, past)
         h = x + a
         n2, ln2_cache = self.ln2.forward(h)
         m, mlp_cache = self.mlp.forward(n2)

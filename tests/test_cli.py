@@ -324,15 +324,20 @@ def test_evaluate_uses_scorer_endpoint_from_environment(trained, tmp_path,
 
 
 def test_entry_point_runs_as_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
+    # the child imports ppst from this checkout, as the test process does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     config_path, cfg = build_workspace(tmp_path)
     result = subprocess.run([sys.executable, "-m", "ppst.cli", "--config",
                              str(config_path), "build-corpus"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert "build-corpus:" in result.stdout
     missing = subprocess.run([sys.executable, "-m", "ppst.cli", "--config",
                               str(tmp_path / "nope.json"), "build-corpus"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
     assert missing.returncode == 2

@@ -228,6 +228,9 @@ def test_prefix_dimension_mismatch(tiny_lm):
     bad = np.zeros((3, tiny_lm.config.d_model + 1))
     with pytest.raises(ConfigurationError):
         generate(bad, model, small_cfg())
+    empty = np.zeros((0, tiny_lm.config.d_model))
+    with pytest.raises(ConfigurationError, match=r"prefix shape \(0, 8\)"):
+        generate(empty, model, small_cfg())
 
 
 def test_context_limit_clips_max_length(tiny_lm):

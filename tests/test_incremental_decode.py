@@ -1,0 +1,123 @@
+"""KV-cached, beam-batched decoding against the stateless full re-forward.
+
+`StyledLanguageModel.prefill` and `.step` must give the logits that
+`next_token_logits` computes by re-running anchor and story through every
+layer, at every step and for every beam, whatever the beam reordering.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import make_tiny_lm
+from ppst.adapters import StyleAdapterSet, StyledLanguageModel, attach
+from ppst.errors import ConfigurationError
+from ppst.generation import DecodeConfig, generate
+from ppst.lm import CausalTransformerLM
+
+TOL = 1e-10
+# parent beam of each new row, per step: widen from the anchor to three beams,
+# then keep, permute, and duplicate one beam while dropping another
+PARENTS = [[0, 0, 0], [0, 1, 2], [2, 0, 0], [1, 2, 0], [0, 0, 1], [2, 1, 1],
+           [0, 1, 2], [1, 1, 0]]
+
+
+def make_model(with_adapters, seed=0):
+    lm = make_tiny_lm(n_words=12, n_layer=2, n_head=2, d_model=8, d_ff=16,
+                      max_seq_len=32, seed=seed + 1)
+    if not with_adapters:
+        return StyledLanguageModel(lm, None, "plain")
+    adapter_set = StyleAdapterSet.create("romance", lm, seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in adapter_set.blocks:     # away from the zero-init identity
+        block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape) * 0.5
+        block.up.b.value[...] = rng.standard_normal(block.up.b.value.shape) * 0.1
+    return attach(lm, adapter_set)
+
+
+def make_prefix(model, with_prefix, rows=4):
+    if not with_prefix:
+        return None
+    return np.random.default_rng(7).standard_normal((rows, model.embed_dim))
+
+
+class FullReforward:
+    """The same model without the step API, so `generate` re-runs it per beam."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        if name in ("prefill", "step"):
+            raise AttributeError(name)
+        return getattr(self.model, name)
+
+
+@pytest.mark.parametrize("with_adapters", [False, True])
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_incremental_logits_match_full_reforward(with_adapters, with_prefix):
+    model = make_model(with_adapters)
+    prefix = make_prefix(model, with_prefix)
+    rng = np.random.default_rng(3)
+
+    logits, past = model.prefill(prefix)
+    assert logits.shape == (1, model.vocab_size)
+    assert np.abs(logits[0] - model.next_token_logits(prefix, [])).max() <= TOL
+    beams = [()]
+    for parents in PARENTS:
+        tokens = [int(t) for t in rng.integers(0, model.vocab_size, size=len(parents))]
+        beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
+        past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
+                for k, v in past]
+        logits, past = model.step(tokens, past)
+        assert logits.shape == (len(beams), model.vocab_size)
+        for row, ids in zip(logits, beams):
+            want = model.next_token_logits(prefix, list(ids))
+            assert np.abs(row - want).max() <= TOL
+
+
+@pytest.mark.parametrize("with_adapters", [False, True])
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_cached_generate_matches_full_reforward(with_adapters, with_prefix):
+    model = make_model(with_adapters, seed=1)
+    prefix = make_prefix(model, with_prefix)
+    cfg = DecodeConfig(beam_size=3, top_k=5, min_length=6, max_length=12,
+                       length_decay_start=4)
+    cached = generate(prefix, model, cfg)
+    reference = generate(prefix, FullReforward(model), cfg)
+    assert cached.token_ids == reference.token_ids
+    assert abs(cached.cumulative_log_prob - reference.cumulative_log_prob) <= TOL
+    assert cached.to_json_line() == reference.to_json_line()
+
+
+def test_one_batched_forward_per_step(monkeypatch):
+    model = make_model(True)
+    prefix = make_prefix(model, True, rows=4)
+    calls = []
+    forward = CausalTransformerLM.forward_embeds
+
+    def counting(lm, embeds, *args, **kwargs):
+        calls.append(embeds.shape[:2])
+        return forward(lm, embeds, *args, **kwargs)
+
+    monkeypatch.setattr(CausalTransformerLM, "forward_embeds", counting)
+    cfg = DecodeConfig(beam_size=3, top_k=5, min_length=100, max_length=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # max_length < min_length is intended
+        record = generate(prefix, model, cfg)
+    assert record.token_count == 10
+    # the prefix once, then one row per live beam and step, none after the last
+    assert calls[0] == (1, 4)
+    assert len(calls) == 10
+    assert all(t == 1 and 1 <= b <= 3 for b, t in calls[1:])
+
+
+def test_forward_embeds_past_beyond_max_seq_len_raises():
+    lm = make_tiny_lm(max_seq_len=8)
+    rng = np.random.default_rng(0)
+    _, cache = lm.forward_embeds(rng.standard_normal((2, 5, 8)))
+    past = lm.past_kv(cache)
+    lm.forward_embeds(rng.standard_normal((2, 3, 8)), past=past)    # 5 + 3 fits
+    with pytest.raises(ConfigurationError, match="max_seq_len"):
+        lm.forward_embeds(rng.standard_normal((2, 4, 8)), past=past)
