@@ -20,7 +20,7 @@ from .encoding import (EmbeddingCache, HashedNgramEncoder, ImageTextEncoder,
                        TextEmbedding, VisualEmbedding)
 from .errors import (CompatibilityError, ConfigurationError, InputError, PpstError,
                      ProtocolError, ScorerUnavailable, TrainingDiverged)
-from .generation import BeamState, DecodeConfig, GenerationRecord, generate
+from .generation import DecodeConfig, GenerationRecord, generate
 from .lm import CausalTransformerLM, LmConfig, perplexity
 from .mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, VisualPrefix,
                      map_prefix, train_mapper)

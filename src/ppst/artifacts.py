@@ -104,14 +104,26 @@ def read_json(path):
         raise InputError(f"{path} is unreadable or corrupt: {exc}", ref=str(path)) from None
 
 
+def read_text(path):
+    """A UTF-8 text file; an unreadable or non-UTF-8 file is an InputError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path} is unreadable or not UTF-8: {exc}", ref=str(path)) from None
+
+
 def read_jsonl(path, parse):
     """[parse(record) for each non-blank line], skipping records parsed to None.
 
-    A line that is not JSON, or that `parse` rejects, is an InputError naming
-    the file and line.
+    An unreadable file, a line that is not JSON, or one that `parse` rejects
+    is an InputError naming the file (and line).
     """
     out = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"{path} is unreadable: {exc}", ref=str(path)) from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -18,7 +18,8 @@ a downstream stage reads only complete upstream runs. `generate` checks that
 the mapper was trained on the base LM and encoder in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
-corrupt file, a live lock or a mismatched checkpoint; 3 numeric failure.
+corrupt file, a config key not in DEFAULT_CONFIG, a live lock or a
+mismatched checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
 
@@ -39,7 +40,7 @@ from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
                        StyledLanguageModel, adapter_data_fingerprint, attach,
                        train_adapter, train_full_finetune, train_on_texts)
 from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
-                        read_jsonl, read_manifest, write_jsonl)
+                        read_jsonl, read_manifest, read_text, write_jsonl)
 from .encoding import HashedNgramEncoder
 from .errors import CompatibilityError, InputError, PpstError, TrainingDiverged
 from .generation import DecodeConfig, generate
@@ -116,13 +117,18 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base, override):
+def _merge(base, override, section=None):
+    """A copy of `base` with the values of `override`, which may use only its
+    keys and must give each section (a dict in `base`) as an object."""
+    if not isinstance(override, dict):
+        what = f"section {section}" if section else "the config file"
+        raise InputError(f"{what} is not a JSON object", ref=section)
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        name = f"{section}.{key}" if section else key
+        if key not in base:
+            raise InputError(f"unknown config key {name}", ref=name)
+        out[key] = _merge(base[key], value, name) if isinstance(base[key], dict) else value
     return out
 
 
@@ -210,7 +216,7 @@ def cmd_build_corpus(cfg, force=False):
     if stage.skip(input_fp, force):
         return 0
     catalog = corpus_mod.GenreCatalog.from_table(catalog_path)
-    books = [(f.stem, f.read_text(encoding="utf-8")) for f in book_files]
+    books = [(f.stem, read_text(f)) for f in book_files]
     pairs = []
     if caption_path:
         pairs = corpus_mod.load_caption_pairs(caption_path)
@@ -426,8 +432,7 @@ def cmd_generate(cfg, images, style, force=False):
         raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
                                  "base LM or encoder; run `ppst --force train-mapper`")
     model = _styled_model(cfg, style, lm)
-    decode_kwargs = {k: v for k, v in cfg["decode"].items() if k != "seed"}
-    decode_cfg = DecodeConfig(seed=cfg["seed"], **decode_kwargs)
+    decode_cfg = DecodeConfig(seed=cfg["seed"], **cfg["decode"])
 
     n_ok = 0
     with stage.run(image_fp) as (out, manifest):

@@ -13,11 +13,10 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl, read_text, write_jsonl
 from .errors import ConfigurationError, InputError
 
 CANONICAL_GENRES = (
@@ -91,7 +90,7 @@ class GenreCatalog:
         semicolon-separated, order-significant list. Labels outside the
         recognized set map to "other"."""
         entries = {}
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if not lines:
             return cls(entries)
         start = 1 if lines[0].strip().lower().startswith("title") else 0

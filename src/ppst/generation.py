@@ -20,8 +20,13 @@ Conventions (documented, configurable where noted):
     log-probs are <= 0, so live scores only decrease) or at max_length;
   * the winner is the best finished beam by cumulative log-probability, or
     the best live beam when nothing finished by max_length;
-  * if every candidate is masked (n-gram saturation), the n-gram block is
-    lifted for that single step and a warning is recorded.
+  * if every candidate of a beam is masked (n-gram saturation), its n-gram
+    block is lifted for that single step and a warning is recorded.
+
+The live beams are a (beams, step) token-id matrix and a (beams,) score
+vector. A step is one processor pass over (beams, vocab) logits, and one
+stable argsort of the flattened scores ranks the candidates: flat index
+beam * vocab + token, so ties go to the lower beam, then the lower token.
 
 Decoding is incremental for models with the step API (`prefill`, `step`;
 see StyledLanguageModel). Their past is one (k, v) pair per layer, each
@@ -84,13 +89,6 @@ class DecodeConfig:
 
 
 @dataclass
-class BeamState:
-    token_ids: tuple
-    cumulative_log_prob: float
-    finished: bool = False
-
-
-@dataclass
 class GenerationRecord:
     image_ref: str
     style: str
@@ -121,98 +119,94 @@ class GenerationRecord:
 
 
 # ---------------------------------------------------------------------------
-# logit processors
+# logit processors over (..., vocab) logits and (..., length) token histories
+
+
+def _token_mask(shape, ids):
+    """Boolean (..., vocab) mask of the ids in each row; id `vocab` is dropped."""
+    mask = np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=bool)
+    np.put_along_axis(mask, np.asarray(ids, dtype=np.intp), True, axis=-1)
+    return mask[..., :-1]
 
 
 def apply_temperature(logits, t):
     """Elementwise division by t (t > 0)."""
-    if t <= 0:
-        raise ConfigurationError("temperature must be > 0")
     return logits / t
 
 
 def apply_repetition_penalty(logits, generated_token_ids, p):
-    """Discount tokens already generated in this beam.
+    """Discount tokens already generated in each row's history.
 
     Positive logits are multiplied by p, non-positive ones divided by p, so
     any p < 1 makes repeats strictly less likely (p = 1 is the identity).
     """
-    if p <= 0:
-        raise ConfigurationError("repetition_penalty must be > 0")
-    out = logits.copy()
-    for tok in set(generated_token_ids):
-        if out[tok] > 0:
-            out[tok] *= p
-        else:
-            out[tok] /= p
-    return out
+    seen = _token_mask(logits.shape, generated_token_ids)
+    return np.where(seen, np.where(logits > 0, logits * p, logits / p), logits)
 
 
 def block_ngrams(logits, token_ids, n):
     """Mask every token that would complete an n-gram already in token_ids."""
-    if n < 2:
-        raise ConfigurationError("no_repeat_ngram must be >= 2")
-    out = logits.copy()
-    if len(token_ids) < n - 1:
-        return out
-    token_ids = tuple(token_ids)
-    tail = token_ids[-(n - 1):] if n > 1 else ()
-    for i in range(len(token_ids) - n + 1):
-        if token_ids[i: i + n - 1] == tail:
-            out[token_ids[i + n - 1]] = NEG_INF
-    return out
+    ids = np.asarray(token_ids, dtype=np.intp)
+    starts = ids.shape[-1] - n + 1        # n-grams in the history
+    if starts < 1:
+        return logits
+    # an n-gram repeats the last n - 1 tokens when its first n - 1 do
+    match = np.ones(ids.shape[:-1] + (starts,), dtype=bool)
+    for j in range(n - 1):
+        match &= ids[..., j: j + starts] == ids[..., starts + j: starts + j + 1]
+    blocked = np.where(match, ids[..., n - 1:], logits.shape[-1])
+    return np.where(_token_mask(logits.shape, blocked), NEG_INF, logits)
 
 
 def mask_min_length(logits, current_length, min_length, eos_id):
     """Forbid eos while fewer than min_length tokens have been generated."""
+    if current_length >= min_length:
+        return logits
     out = logits.copy()
-    if current_length < min_length:
-        out[eos_id] = NEG_INF
+    out[..., eos_id] = NEG_INF
     return out
 
 
 def eos_length_decay(logits, current_length, start, factor, eos_id):
     """Add (current_length - start) * ln(factor) to the eos logit past start."""
-    if factor < 1:
-        raise ConfigurationError("length_decay_factor must be >= 1")
+    if current_length <= start:
+        return logits
     out = logits.copy()
-    if current_length > start and np.isfinite(out[eos_id]):
-        out[eos_id] += (current_length - start) * math.log(factor)
+    out[..., eos_id] += (current_length - start) * math.log(factor)
     return out
 
 
 def top_k_filter(logits, k):
     """Keep the k best logits (ties to the lower token id), mask the rest."""
-    if k < 1:
-        raise ConfigurationError("top_k must be >= 1")
-    out = logits.copy()
-    if k < out.shape[0]:
-        keep = np.argsort(-out, kind="stable")[:k]
-        masked = np.full_like(out, NEG_INF)
-        masked[keep] = out[keep]
-        out = masked
+    if k >= logits.shape[-1]:
+        return logits
+    keep = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    out = np.full_like(logits, NEG_INF)
+    np.put_along_axis(out, keep, np.take_along_axis(logits, keep, axis=-1), axis=-1)
     return out
 
 
 def _log_softmax(x):
     finite = np.isfinite(x)
-    if not finite.any():
+    if not finite.any(axis=-1).all():
         raise ConfigurationError("no viable token after masking")
-    m = x[finite].max()
-    z = np.log(np.exp(np.where(finite, x - m, NEG_INF)).sum())
+    m = np.where(finite, x, NEG_INF).max(axis=-1, keepdims=True)
+    z = np.log(np.exp(np.where(finite, x - m, NEG_INF)).sum(axis=-1, keepdims=True))
     return np.where(finite, x - m - z, NEG_INF)
 
 
 def step_log_probs(raw_logits, token_ids, cfg, eos_id):
-    """Processed per-token log-probabilities for one step of one beam.
+    """Processed per-token log-probabilities for one step of every beam.
 
-    Returns (log_probs, relaxed) where relaxed marks the n-gram block having
-    been lifted because it masked every candidate.
+    raw_logits is (..., vocab) and token_ids the (..., length) histories.
+    Returns (log_probs, relaxed) where relaxed counts the beams whose n-gram
+    block was lifted because it masked every candidate.
     """
     raw_logits = np.asarray(raw_logits, dtype=np.float64)
+    token_ids = np.asarray(token_ids, dtype=np.intp)
     x = apply_temperature(raw_logits, cfg.temperature)
     x = apply_repetition_penalty(x, token_ids, cfg.repetition_penalty)
-    current = len(token_ids)
+    current = token_ids.shape[-1]
 
     def finish(y):
         y = mask_min_length(y, current, cfg.min_length, eos_id)
@@ -221,40 +215,14 @@ def step_log_probs(raw_logits, token_ids, cfg, eos_id):
         return top_k_filter(y, cfg.top_k)
 
     processed = finish(block_ngrams(x, token_ids, cfg.no_repeat_ngram))
-    relaxed = False
-    if not np.isfinite(processed).any():
-        processed = finish(x)      # lift the n-gram block for this step
-        relaxed = True
-    return _log_softmax(processed), relaxed
+    dead = ~np.isfinite(processed).any(axis=-1)
+    if dead.any():                 # lift the n-gram block for these beams
+        processed = np.where(dead[..., None], finish(x), processed)
+    return _log_softmax(processed), int(np.count_nonzero(dead))
 
 
 # ---------------------------------------------------------------------------
 # beam search
-
-
-def _beam_logits(model, prefix_matrix):
-    """A function (live beams, parent of each) -> raw next-token logits per beam.
-
-    With the step API the anchor runs once; each later call reorders the past
-    rows by parent beam and runs every live beam's newest token as one batch.
-    Other models are asked `next_token_logits` once per live beam.
-    """
-    if not hasattr(model, "prefill"):
-        return lambda live, parents: [
-            model.next_token_logits(prefix_matrix, list(beam.token_ids)) for beam in live]
-    past = None
-
-    def beam_logits(live, parents):
-        nonlocal past
-        if past is None:
-            logits, past = model.prefill(prefix_matrix)
-        else:
-            past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
-                    for k, v in past]
-            logits, past = model.step([beam.token_ids[-1] for beam in live], past)
-        return logits
-
-    return beam_logits
 
 
 def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord:
@@ -291,51 +259,50 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
         raise ConfigurationError("no room to generate any token")
 
     eos_id = model.eos_id
-    beam_logits = _beam_logits(model, prefix_matrix)
-    live = [BeamState((), 0.0)]
-    parents = None
-    finished = []
+    ids = np.zeros((1, 0), dtype=np.intp)     # live beams' tokens, one row each
+    scores = np.zeros(1)
+    past = parents = None
+    finished = []                              # (token ids, score)
 
     for step in range(max_length):
-        candidates = []
-        for beam_idx, (beam, raw) in enumerate(zip(live, beam_logits(live, parents))):
-            log_probs, relaxed = step_log_probs(raw, beam.token_ids, cfg, eos_id)
-            if relaxed:
-                run_warnings.append(f"n-gram block lifted at step {step}")
-            for tok in np.flatnonzero(np.isfinite(log_probs)):
-                candidates.append((beam.cumulative_log_prob + log_probs[tok],
-                                   beam_idx, int(tok)))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live = []
-        parents = []
-        for score, beam_idx, tok in candidates:
-            seq = live[beam_idx].token_ids + (tok,)
-            if tok == eos_id:
-                finished.append(BeamState(seq, score, True))
-            elif len(next_live) < cfg.beam_size:
-                next_live.append(BeamState(seq, score))
-                parents.append(beam_idx)
-        live = next_live
-        if not live:
+        if not hasattr(model, "prefill"):      # stateless: re-run each live beam
+            raw = np.stack([model.next_token_logits(prefix_matrix, row)
+                            for row in ids.tolist()])
+        elif past is None:                     # the anchor runs once
+            raw, past = model.prefill(prefix_matrix)
+        else:                                  # each beam's newest token, one batch
+            past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
+                    for k, v in past]
+            raw, past = model.step(ids[:, -1], past)
+        log_probs, relaxed = step_log_probs(raw, ids, cfg, eos_id)
+        run_warnings += [f"n-gram block lifted at step {step}"] * relaxed
+        flat = (scores[:, None] + log_probs).ravel()
+        order = np.argsort(-flat, kind="stable")[:np.count_nonzero(np.isfinite(flat))]
+        beam, tok = np.divmod(order, log_probs.shape[1])
+        eos = tok == eos_id
+        finished += [(tuple(ids[b].tolist()) + (eos_id,), s)
+                     for b, s in zip(beam[eos], flat[order[eos]])]
+        keep = np.flatnonzero(~eos)[:cfg.beam_size]
+        if not keep.size:
             break
+        parents = beam[keep]
+        ids = np.concatenate([ids[parents], tok[keep, None]], axis=1)
+        scores = flat[order[keep]]
         if len(finished) >= cfg.beam_size:
-            kth_best = sorted((f.cumulative_log_prob for f in finished),
-                              reverse=True)[cfg.beam_size - 1]
-            if kth_best >= max(b.cumulative_log_prob for b in live):
+            kth_best = sorted((s for _, s in finished), reverse=True)[cfg.beam_size - 1]
+            if kth_best >= scores.max():
                 break
 
-    pool = finished if finished else live
-    winner = min(pool, key=lambda b: (-b.cumulative_log_prob, len(b.token_ids),
-                                      b.token_ids))
-    content = winner.token_ids[:-1] if winner.finished else winner.token_ids
+    pool = finished or [(tuple(row), s) for row, s in zip(ids.tolist(), scores)]
+    token_ids, score = min(pool, key=lambda b: (-b[1], len(b[0]), b[0]))
     record = GenerationRecord(
         image_ref=str(image_ref),
         style=getattr(model, "style", "plain"),
-        story_text=model.decode(list(winner.token_ids)),
-        token_ids=winner.token_ids,
-        token_count=len(content),
-        cumulative_log_prob=winner.cumulative_log_prob,
-        finished=winner.finished,
+        story_text=model.decode(list(token_ids)),
+        token_ids=token_ids,
+        token_count=len(token_ids) - bool(finished),
+        cumulative_log_prob=score,
+        finished=bool(finished),
         config=cfg.to_dict(),
         model_manifest=getattr(model, "manifest", dict)(),
         wall_time_s=time.perf_counter() - started,

@@ -92,6 +92,23 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
     assert main(["--config", str(config_path), "build-corpus"]) == 2
 
 
+@pytest.mark.parametrize("user, message", [
+    ([1, 2], "the config file is not a JSON object"),
+    ({"corpus": 5}, "section corpus is not a JSON object"),
+    ({"decode": {"beam_sise": 3}}, "unknown config key decode.beam_sise"),
+    ({"decode": {"seed": 3}}, "unknown config key decode.seed"),
+    ({"lm": {"n_layers": 3}}, "unknown config key lm.n_layers"),
+    ({"sed": 3}, "unknown config key sed"),
+], ids=["list", "section-not-object", "decode-typo", "decode-seed", "lm-typo", "top-level"])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, user, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(user))
+    assert main(["--config", str(config_path), "generate", "--style", "plain",
+                 "--images", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+
+
 def test_build_corpus_rerun_is_skipped(tmp_path, capsys):
     config_path, cfg = build_workspace(tmp_path)
     assert main(["--config", str(config_path), "build-corpus"]) == 0

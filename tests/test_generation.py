@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import RandomTableLM
-from decode_oracle import exhaustive_best, greedy_rollout
+from decode_oracle import exhaustive_best, greedy_rollout, oracle_step_logprobs
 from ppst.adapters import StyledLanguageModel
 from ppst.errors import ConfigurationError
 from ppst.generation import (DecodeConfig, apply_repetition_penalty, apply_temperature,
@@ -71,6 +71,9 @@ def test_repetition_penalty_conventions():
     assert out[0] == pytest.approx(1.4)            # positive: multiplied
     assert out[1] == pytest.approx(-1.0 / 0.7)     # negative: divided
     assert out[2] == 0.5                           # never generated: untouched
+    two = apply_repetition_penalty(np.array([logits, logits]), [[0, 1], [2, 2]], 0.7)
+    assert np.array_equal(two[0], out)             # one history per row
+    assert np.array_equal(two[1], [2.0, -1.0, 0.5 * 0.7])
 
 
 def test_block_ngrams_direct_rule():
@@ -78,6 +81,9 @@ def test_block_ngrams_direct_rule():
     out = block_ngrams(logits, [1, 2, 3, 1, 2], 3)
     assert out[3] == -np.inf
     assert np.isfinite(np.delete(out, 3)).all()
+    two = block_ngrams(np.zeros((2, 5)), [[1, 2, 3, 1, 2], [1, 2, 3, 1, 3]], 3)
+    assert np.array_equal(two[0], out)
+    assert np.isfinite(two[1]).all()               # (1, 3) never started a 3-gram
 
 
 def test_block_ngrams_short_history_noop():
@@ -102,6 +108,8 @@ def test_min_length_masking():
     assert mask_min_length(logits, 10, 750, eos_id=0)[0] == -np.inf
     assert np.isfinite(mask_min_length(logits, 750, 750, eos_id=0)).all()
     assert np.isfinite(mask_min_length(logits, 0, 0, eos_id=0)).all()
+    two = mask_min_length(np.zeros((2, 4)), 10, 750, eos_id=0)
+    assert np.isneginf(two[:, 0]).all() and np.isfinite(two[:, 1:]).all()
 
 
 def test_eos_length_decay_values():
@@ -122,6 +130,9 @@ def test_top_k_filter_and_ties():
     assert out[1] == 3.0 and out[2] == 3.0         # both ties fit in k
     out = top_k_filter(np.array([3.0, 3.0, 3.0]), 2)
     assert np.isneginf(out[2]) and np.isfinite(out[:2]).all()   # lower ids win ties
+    two = top_k_filter(np.array([[1.0, 3.0, 3.0, 0.0], [3.0, 3.0, 3.0, 0.0]]), 2)
+    assert np.array_equal(np.isfinite(two), [[False, True, True, False],
+                                             [True, True, False, False]])
 
 
 def test_step_log_probs_are_normalized_and_non_positive():
@@ -134,6 +145,42 @@ def test_step_log_probs_are_normalized_and_non_positive():
         finite = logp[np.isfinite(logp)]
         assert (finite <= 1e-12).all()
         assert float(np.exp(finite).sum()) == pytest.approx(1.0)
+
+
+def needs_relaxation(ids, cfg, vocab, eos_id):
+    """Brute force: the n-gram block and the min-length mask cover every token."""
+    n = cfg.no_repeat_ngram
+    blocked = {ids[i + n - 1] for i in range(len(ids) - n + 1)
+               if ids[i: i + n - 1] == ids[len(ids) - n + 1:]}
+    if len(ids) < cfg.min_length:
+        blocked.add(eos_id)
+    return len(blocked) == vocab
+
+
+def test_batched_step_matches_oracle_row_by_row():
+    rng = np.random.default_rng(9)
+    vocab = 4
+    # row 0 has followed its last token (1) with every other token, row 1 has not
+    batches = [np.array([[1, 1, 2, 1, 3, 1], [1, 2, 3, 1, 2, 3]])]
+    batches += [rng.integers(1, vocab, size=(6, length)) for length in (0, 1, 3, 5, 8, 12)]
+    mixed = 0
+    for cfg in (small_cfg(no_repeat_ngram=2, min_length=50, top_k=3),
+                small_cfg(no_repeat_ngram=3, min_length=50, top_k=2),
+                small_cfg(no_repeat_ngram=2, min_length=2, length_decay_start=1)):
+        for ids in batches:
+            raw = rng.standard_normal((len(ids), vocab)) * 2
+            logp, relaxed = step_log_probs(raw, ids, cfg, eos_id=0)
+            assert logp.shape == raw.shape
+            want_relaxed = 0
+            for row, hist, got in zip(raw, ids.tolist(), logp):
+                want = np.array(oracle_step_logprobs(row, hist, cfg, 0))
+                assert np.array_equal(np.isneginf(got), np.isneginf(want))
+                finite = np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+                want_relaxed += needs_relaxation(hist, cfg, vocab, 0)
+            assert relaxed == want_relaxed and type(relaxed) is int
+            mixed += 0 < relaxed < len(ids)
+    assert mixed >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -278,3 +278,20 @@ def test_bad_caption_line_exits_2(workspace, tmp_path, capsys):
     err = exits_2_naming(f"{captions}, line 2", capsys, config_path, "build-corpus")
     assert "missing field 'caption'" in err
     assert run_dirs(cfg, "build-corpus-") == before
+
+
+def test_records_path_that_is_a_directory_exits_2(workspace, tmp_path, capsys):
+    config_path, _, _ = workspace
+    records = tmp_path / "records"
+    records.mkdir()
+    exits_2_naming(records, capsys, config_path, "evaluate",
+                   "--records", str(records), "--gold", str(records))
+
+
+@pytest.mark.parametrize("bad_file", ["books/Letters at Dusk.txt", "books/catalog.tsv"])
+def test_non_utf8_corpus_file_exits_2(tmp_path, capsys, bad_file):
+    config_path, cfg = build_workspace(tmp_path)
+    path = tmp_path / bad_file
+    path.write_bytes(path.read_bytes() + "café\n".encode("latin-1"))
+    exits_2_naming(path, capsys, config_path, "build-corpus")
+    assert not (tmp_path / "runs").exists() or not run_dirs(cfg, "build-corpus-")
