@@ -7,8 +7,12 @@
     ppst evaluate --records F --gold F --config cfg.json
 
 The config is a single JSON file with per-stage sections (see
-DEFAULT_CONFIG). Every training and decoding hyperparameter is a default
-there and can be overridden. Each command is a `Stage` with a run directory
+DEFAULT_CONFIG). The keys and defaults of `lm`, `mapper`, `adapters` and
+`decode` are the fields of the dataclasses that each stage builds from them
+(SECTION_CLASSES). A value must have its default's type: an int passes for
+a float and stays an int, a bool is no number, and a None default takes null
+or the field's type (a string for paths and ids). `adapters.bottleneck_dim`
+0 means `d_model // 8`. Each command is a `Stage` with a run directory
 `<artifacts_dir>/<stage>-<confighash>/`; the hash also covers the files of an
 explicit `lm.checkpoint`. A stage works in a staging dir under a pid lock (a
 lock whose pid is gone is removed), then moves its outputs into place and
@@ -18,8 +22,8 @@ a downstream stage reads only complete upstream runs. `generate` checks that
 the mapper was trained on the base LM and encoder in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
-corrupt file, a config key not in DEFAULT_CONFIG, a live lock or a
-mismatched checkpoint; 3 numeric failure.
+corrupt file, a config key not in DEFAULT_CONFIG or of the wrong type, a
+live lock or a mismatched checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
 
@@ -28,10 +32,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,6 +58,18 @@ from .tokenizer import WordTokenizer
 
 SCORER_ENDPOINT_ENV = "PPST_SCORER_ENDPOINT"
 
+# the dataclasses each section feeds; its keys are their fields less the ones
+# a stage supplies, with their defaults
+SECTION_CLASSES = {"lm": (LmConfig,), "mapper": (MapperConfig, MapperTrainConfig),
+                   "adapters": (AdapterTrainConfig,), "decode": (DecodeConfig,)}
+
+
+def _defaults(section):
+    return {f.name: f.default for cls in SECTION_CLASSES[section]
+            for f in dataclasses.fields(cls)
+            if f.name not in ("vocab_size", "input_dim", "lm_embed_dim", "seed")}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "artifacts_dir": "runs",
@@ -61,65 +79,53 @@ DEFAULT_CONFIG = {
         "captions": None,           # caption-pair JSONL (image_ref/caption/split)
         "caption_fraction": 0.1,
     },
-    "encoder": {
-        "embed_dim": 256,
-        "n_buckets": 2048,
-        "max_text_tokens": 77,
-        "model_id": None,
-    },
+    "encoder": {"embed_dim": 256, "n_buckets": 2048, "max_text_tokens": 77,
+                "model_id": None},
     "lm": {
         "checkpoint": None,         # use an existing LM checkpoint instead of building
-        "n_layer": 2,
-        "n_head": 2,
-        "d_model": 32,
-        "d_ff": 0,
-        "max_seq_len": 128,
-        "max_vocab": 512,
-        "pretrain_epochs": 1,
-        "learning_rate": 1e-3,
-        "batch_size": 8,
+        **_defaults("lm"),          # then the tokenizer and pretraining of a built LM:
+        "max_vocab": 512, "pretrain_epochs": 1, "learning_rate": 1e-3, "batch_size": 8,
     },
-    "mapper": {
-        "hidden_dim": 512,
-        "prefix_length": 10,
-        "activation": "tanh",
-        "max_epochs": 10,
-        "learning_rate": 1e-3,
-        "batch_size": 8,
-        "max_seq_len": 512,
-    },
+    "mapper": _defaults("mapper"),
     "adapters": {
         "styles": ["romance", "action"],
-        "bottleneck_dim": 0,        # 0 -> lm d_model / 8
-        "activation": "relu",
-        "max_epochs": 10,
-        "learning_rate": 1e-3,
-        "batch_size": 8,
-        "max_seq_len": 512,
-        "val_fraction": 0.1,
-        "patience": 2,
+        "bottleneck_dim": 0,        # 0 -> lm d_model // 8, with `activation` either way
+        "activation": AdapterConfig.activation,
+        **_defaults("adapters"),
     },
-    "decode": {
-        "beam_size": 5,
-        "temperature": 0.8,
-        "top_k": 10,
-        "repetition_penalty": 0.7,
-        "no_repeat_ngram": 3,
-        "length_decay_factor": 1.7,
-        "length_decay_start": 20,
-        "min_length": 750,
-        "max_length": None,
-    },
-    "eval": {
-        "clip_weight": 2.5,
-        "scorer_timeout": 10.0,
-    },
+    "decode": _defaults("decode"),
+    "eval": {"clip_weight": 2.5, "scorer_timeout": 10.0},
 }
+
+
+def _build(cls, section, **supplied):
+    """A `cls` from the keys of config `section` that are its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{k: v for k, v in section.items() if k in names}, **supplied})
+
+
+def _check_type(name, default, value):
+    """Raise unless `value` may stand in for `default` (see the module doc)."""
+    if default is None:
+        section, _, key = name.rpartition(".")
+        hints = [typing.get_type_hints(cls) for cls in SECTION_CLASSES.get(section, ())]
+        accepted = (type(None), next((h[key] for h in hints if key in h), str))
+    else:
+        accepted = (int, float) if isinstance(default, float) else (type(default),)
+    ok = isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+    if isinstance(value, list):
+        ok = ok and all(isinstance(v, str) for v in value)
+    if not ok:
+        expected = " or ".join({type(None): "null", list: "a list of strings"}.get(
+            t, t.__name__) for t in accepted)
+        raise InputError(f"config key {name} must be {expected}, not {json.dumps(value)}",
+                         ref=name)
 
 
 def _merge(base, override, section=None):
     """A copy of `base` with the values of `override`, which may use only its
-    keys and must give each section (a dict in `base`) as an object."""
+    keys, must give each section (a dict in `base`) as an object and each
+    other value with the type of its default."""
     if not isinstance(override, dict):
         what = f"section {section}" if section else "the config file"
         raise InputError(f"{what} is not a JSON object", ref=section)
@@ -128,7 +134,11 @@ def _merge(base, override, section=None):
         name = f"{section}.{key}" if section else key
         if key not in base:
             raise InputError(f"unknown config key {name}", ref=name)
-        out[key] = _merge(base[key], value, name) if isinstance(base[key], dict) else value
+        if isinstance(base[key], dict):
+            value = _merge(base[key], value, name)
+        else:
+            _check_type(name, base[key], value)
+        out[key] = value
     return out
 
 
@@ -137,13 +147,6 @@ def load_config(path, seed=None):
     if seed is not None:
         cfg["seed"] = seed
     return cfg
-
-
-def _encoder(cfg):
-    e = cfg["encoder"]
-    return HashedNgramEncoder(embed_dim=e["embed_dim"], model_id=e["model_id"],
-                              max_text_tokens=e["max_text_tokens"],
-                              n_buckets=e["n_buckets"])
 
 
 def _require(path, what):
@@ -268,18 +271,11 @@ def ensure_base_lm(cfg, force=False):
     if not stage.skip(input_fp, force):
         with stage.run(input_fp) as (out, manifest):
             tokenizer = WordTokenizer.build(texts, max_vocab=section["max_vocab"])
-            lm_config = LmConfig(vocab_size=tokenizer.vocab_size,
-                                 n_layer=section["n_layer"], n_head=section["n_head"],
-                                 d_model=section["d_model"], d_ff=section["d_ff"],
-                                 max_seq_len=section["max_seq_len"])
+            lm_config = _build(LmConfig, section, vocab_size=tokenizer.vocab_size)
             lm = CausalTransformerLM(lm_config, tokenizer, seed=cfg["seed"])
             if section["pretrain_epochs"] > 0:
-                train_cfg = AdapterTrainConfig(
-                    max_epochs=section["pretrain_epochs"],
-                    learning_rate=section["learning_rate"],
-                    batch_size=section["batch_size"],
-                    max_seq_len=section["max_seq_len"],
-                    seed=cfg["seed"], val_fraction=0.0)
+                train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"],
+                                   max_epochs=section["pretrain_epochs"], val_fraction=0.0)
                 if passages:
                     lm, _ = train_full_finetune(passages, lm, train_cfg)
                 if captions:
@@ -300,7 +296,7 @@ def cmd_train_mapper(cfg, force=False):
     _, captions = _read_corpus(cfg)
     if not captions:
         raise InputError("caption dataset is empty", ref="captions.jsonl")
-    encoder = _encoder(cfg)
+    encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg, force=False)
 
     stage = _stage(cfg, "train-mapper")
@@ -308,17 +304,9 @@ def cmd_train_mapper(cfg, force=False):
     if stage.skip(input_fp, force):
         return 0
 
-    section = cfg["mapper"]
-    mapper_config = MapperConfig(input_dim=encoder.embed_dim,
-                                 lm_embed_dim=lm.config.d_model,
-                                 hidden_dim=section["hidden_dim"],
-                                 prefix_length=section["prefix_length"],
-                                 activation=section["activation"])
-    train_cfg = MapperTrainConfig(max_epochs=section["max_epochs"],
-                                  learning_rate=section["learning_rate"],
-                                  batch_size=section["batch_size"],
-                                  max_seq_len=section["max_seq_len"],
-                                  seed=cfg["seed"])
+    mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
+                           lm_embed_dim=lm.config.d_model)
+    train_cfg = _build(MapperTrainConfig, cfg["mapper"], seed=cfg["seed"])
     with stage.run(input_fp) as (out, manifest):
         with _frozen(lm):
             mapper, loss_log = train_mapper(captions, encoder, lm, train_cfg, mapper_config)
@@ -339,7 +327,7 @@ def cmd_train_mapper(cfg, force=False):
 
 def cmd_train_adapter(cfg, style, force=False):
     section = cfg["adapters"]
-    known = list(section["styles"]) + ["non-styled"]
+    known = section["styles"] + ["non-styled"]
     if style not in known:
         raise InputError(f"unknown style {style!r}; configured: {known}", ref=style)
     passages, _ = _read_corpus(cfg)
@@ -354,22 +342,14 @@ def cmd_train_adapter(cfg, style, force=False):
     if stage.skip(input_fp, force):
         return 0
 
-    train_cfg = AdapterTrainConfig(max_epochs=section["max_epochs"],
-                                   learning_rate=section["learning_rate"],
-                                   batch_size=section["batch_size"],
-                                   max_seq_len=section["max_seq_len"],
-                                   seed=cfg["seed"],
-                                   val_fraction=section["val_fraction"],
-                                   patience=section["patience"])
+    train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"])
     with stage.run(input_fp) as (out, manifest):
         if style == "non-styled":
             tuned, loss_log = train_full_finetune(passages, lm, train_cfg)
             tuned.save(out / "checkpoints" / "lm_finetuned")
         else:
-            adapter_config = None
-            if section["bottleneck_dim"]:
-                adapter_config = AdapterConfig(bottleneck_dim=section["bottleneck_dim"],
-                                               activation=section["activation"])
+            adapter_config = _build(AdapterConfig, section, bottleneck_dim=(
+                section["bottleneck_dim"] or max(1, lm.config.d_model // 8)))
             with _frozen(lm):
                 adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
                                                       adapter_config=adapter_config)
@@ -402,18 +382,16 @@ def _styled_model(cfg, style, lm):
 
 def _list_images(images):
     path = Path(images)
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir()
-                       if p.suffix.lower() in (".pgm", ".ppm", ".pbm", ".png",
-                                               ".jpg", ".jpeg"))
-    else:
-        files = [path]
+    suffixes = (".pgm", ".ppm", ".pbm", ".png", ".jpg", ".jpeg")
+    files = (sorted(p for p in path.iterdir() if p.suffix.lower() in suffixes)
+             if path.is_dir() else [path])
     if not files:
         raise InputError(f"no images found under {images}", ref=str(images))
     return files
 
 
 def cmd_generate(cfg, images, style, force=False):
+    decode_cfg = _build(DecodeConfig, cfg["decode"], seed=cfg["seed"])
     image_files = _list_images(images)
     image_fp = fingerprint_json([fingerprint_file(f) for f in image_files])
     stage = _stage(cfg, "generate", style, extra={"style": style, "images": image_fp})
@@ -422,7 +400,7 @@ def cmd_generate(cfg, images, style, force=False):
 
     mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
     mapper = PrefixMapper.load(mapper_ckpt)
-    encoder = _encoder(cfg)
+    encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg, force=False)
     # the mapper must come from this base LM and encoder, also for non-styled,
     # whose fine-tuned LM reuses the base LM's mapper
@@ -432,7 +410,6 @@ def cmd_generate(cfg, images, style, force=False):
         raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
                                  "base LM or encoder; run `ppst --force train-mapper`")
     model = _styled_model(cfg, style, lm)
-    decode_cfg = DecodeConfig(seed=cfg["seed"], **cfg["decode"])
 
     n_ok = 0
     with stage.run(image_fp) as (out, manifest):
@@ -445,8 +422,7 @@ def cmd_generate(cfg, images, style, force=False):
                     prefix = mapper.map_prefix(embedding)
                     record = generate(prefix, model, decode_cfg, image_ref=str(image))
                 except PpstError as exc:
-                    rec_fh.write(json.dumps({"image_ref": str(image),
-                                             "error": str(exc)},
+                    rec_fh.write(json.dumps({"image_ref": str(image), "error": str(exc)},
                                             sort_keys=True) + "\n")
                     print(f"generate[{style}]: skipped {image}: {exc}", file=sys.stderr)
                     continue
@@ -481,10 +457,8 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
     if stage.skip(input_fp, force):
         return 0
 
-    report = evaluate_run(rows, references, encoder=_encoder(cfg),
-                          scorer_endpoint=os.environ.get(SCORER_ENDPOINT_ENV),
-                          clip_weight=cfg["eval"]["clip_weight"],
-                          scorer_timeout=cfg["eval"]["scorer_timeout"])
+    report = evaluate_run(rows, references, encoder=HashedNgramEncoder(**cfg["encoder"]),
+                          scorer_endpoint=os.environ.get(SCORER_ENDPOINT_ENV), **cfg["eval"])
     if not report.per_item:
         raise InputError("no record had gold references; nothing to evaluate",
                          ref=str(records_path))
@@ -515,8 +489,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("build-corpus")
     sub.add_parser("train-mapper")
-    adapter = sub.add_parser("train-adapter")
-    adapter.add_argument("--style", required=True)
+    sub.add_parser("train-adapter").add_argument("--style", required=True)
     gen = sub.add_parser("generate")
     gen.add_argument("--style", required=True)
     gen.add_argument("--images", required=True)
@@ -531,16 +504,13 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         cfg = load_config(args.config, seed=args.seed)
-        if args.command == "build-corpus":
-            code = cmd_build_corpus(cfg, force=args.force)
-        elif args.command == "train-mapper":
-            code = cmd_train_mapper(cfg, force=args.force)
-        elif args.command == "train-adapter":
-            code = cmd_train_adapter(cfg, args.style, force=args.force)
-        elif args.command == "generate":
-            code = cmd_generate(cfg, args.images, args.style, force=args.force)
-        else:
-            code = cmd_evaluate(cfg, args.records, args.gold, force=args.force)
+        code = {
+            "build-corpus": lambda: cmd_build_corpus(cfg, args.force),
+            "train-mapper": lambda: cmd_train_mapper(cfg, args.force),
+            "train-adapter": lambda: cmd_train_adapter(cfg, args.style, args.force),
+            "generate": lambda: cmd_generate(cfg, args.images, args.style, args.force),
+            "evaluate": lambda: cmd_evaluate(cfg, args.records, args.gold, args.force),
+        }[args.command]()
     except TrainingDiverged as exc:
         print(f"ppst {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -9,19 +9,16 @@ from ppst.corpus import save_caption_pairs
 from ppst.synthetic import make_book_files, make_caption_dataset
 
 
-def build_workspace(tmp_path, run_name="runs"):
-    """Books + catalog + captions + a small config; returns (config_path, cfg dict)."""
-    books = make_book_files(tmp_path / "books", seed=0)
-    pairs = make_caption_dataset(tmp_path / "images", 12, seed=1)
-    captions_path = tmp_path / "captions_in.jsonl"
-    save_caption_pairs(pairs, captions_path)
-    cfg = {
+def workspace_config(root, run_name="runs"):
+    """The small config of a workspace at `root` (names paths, writes nothing)."""
+    root = Path(root)
+    return {
         "seed": 7,
-        "artifacts_dir": str(tmp_path / run_name),
+        "artifacts_dir": str(root / run_name),
         "corpus": {
-            "books_dir": str(books),
-            "catalog": str(books / "catalog.tsv"),
-            "captions": str(captions_path),
+            "books_dir": str(root / "books"),
+            "catalog": str(root / "books" / "catalog.tsv"),
+            "captions": str(root / "captions_in.jsonl"),
             "caption_fraction": 1.0,
         },
         "encoder": {"embed_dim": 32, "n_buckets": 256, "max_text_tokens": 24},
@@ -35,6 +32,14 @@ def build_workspace(tmp_path, run_name="runs"):
         "decode": {"beam_size": 3, "top_k": 5, "min_length": 4, "max_length": 16,
                    "length_decay_start": 4},
     }
+
+
+def build_workspace(tmp_path, run_name="runs"):
+    """Books + catalog + captions + a small config; returns (config_path, cfg dict)."""
+    make_book_files(tmp_path / "books", seed=0)
+    pairs = make_caption_dataset(tmp_path / "images", 12, seed=1)
+    save_caption_pairs(pairs, tmp_path / "captions_in.jsonl")
+    cfg = workspace_config(tmp_path, run_name)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg, indent=2))
     return config_path, cfg
@@ -99,7 +104,24 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
     ({"decode": {"seed": 3}}, "unknown config key decode.seed"),
     ({"lm": {"n_layers": 3}}, "unknown config key lm.n_layers"),
     ({"sed": 3}, "unknown config key sed"),
-], ids=["list", "section-not-object", "decode-typo", "decode-seed", "lm-typo", "top-level"])
+    ({"decode": {"beam_size": "3"}}, "config key decode.beam_size must be int"),
+    ({"decode": {"top_k": True}}, "config key decode.top_k must be int"),
+    ({"decode": {"max_length": 1.5}}, "config key decode.max_length must be null or int"),
+    ({"lm": {"d_model": 1.5}}, "config key lm.d_model must be int"),
+    ({"mapper": {"activation": 3}}, "config key mapper.activation must be str"),
+    ({"adapters": {"styles": "romance"}}, "config key adapters.styles must be a list"),
+    ({"adapters": {"styles": ["romance", 3]}}, "config key adapters.styles must be a list"),
+    ({"encoder": {"model_id": 3}}, "config key encoder.model_id must be null or str"),
+    ({"corpus": {"books_dir": 5}}, "config key corpus.books_dir must be null or str"),
+    ({"eval": {"clip_weight": "x"}}, "config key eval.clip_weight must be int or float"),
+    ({"eval": {"clip_weight": False}}, "config key eval.clip_weight must be int or float"),
+    ({"seed": "7"}, "config key seed must be int"),
+    ({"decode": {"beam_size": 0}}, "beam_size must be >= 1"),
+], ids=["list", "section-not-object", "decode-typo", "decode-seed", "lm-typo", "top-level",
+        "str-for-int", "bool-for-int", "float-for-optional-int", "float-for-int",
+        "int-for-str", "str-for-list", "list-of-non-str", "int-for-optional-str",
+        "int-for-path", "str-for-float", "bool-for-float", "str-for-seed",
+        "decode-out-of-range"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, user, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(user))
@@ -107,6 +129,49 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, user, message):
                  "--images", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
+
+
+def test_config_int_passes_for_float_uncoerced(tmp_path):
+    from ppst.cli import load_config
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"lm": {"learning_rate": 1},
+                                       "decode": {"max_length": 40}}))
+    cfg = load_config(config_path)
+    assert cfg["lm"]["learning_rate"] == 1 and type(cfg["lm"]["learning_rate"]) is int
+    assert cfg["decode"]["max_length"] == 40
+
+
+# Run-dir names hash the resolved config: a change to how the config is
+# resolved must not rename any stage's runs.
+STAGE_HASHES = {
+    "default": {
+        "build-corpus": "d9499c8db2aa16e8328862d78b9476744c2df1488a66631c80c76a4c25025c1e",
+        "base-lm": "79dadfa07c2b252ba795b2e7003bfd77a2030ae7a543013a38f6ffa2347c015e",
+        "train-mapper": "a4dc51b9cedecd113e19fa54a06afa3b77f5ac3aeded60153fbfe308be67fc81",
+        "train-adapter": "9683935663b9f1397a6e1e73ed5bf7fb57f9a44e7fd2a049ba0545795199f749",
+        "generate": "17c6177bc8d72b23489e7a849329fda764dc10fd291f20887bdb8cf7c5acfed7",
+        "evaluate": "f9cc196ce2f4864ed9912659f3330b9698267a9342d23964844bc73ea385fe28",
+    },
+    "workspace": {
+        "build-corpus": "ec66950b1e0e2c55efeaf4ddaa445d58e0c00ede9ce31ae0b05ebf8327b69710",
+        "base-lm": "5881e8180d510f873c53ee0ed04cd583aa038e863574c2435feda8e855eb40ba",
+        "train-mapper": "56e2ed9490775ba96f8d51a42d7e1a0767966b4d4d36113a478edaaf56a78335",
+        "train-adapter": "f0841e5e2bc74cb843255180e7cc6b43bc20873597792ea1cd9d8ec88374c1a6",
+        "generate": "1531e4cf588236a94d4a04db07ad612ff23243ae6cc7a48248ce028149b491b2",
+        "evaluate": "ca0d1d8a9dd6979f1827dfdb0f57e96a346f928f3fbb1db7c69aa5f1e791873c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_HASHES))
+def test_stage_config_hashes_are_pinned(tmp_path, name):
+    from ppst import cli
+    user = {} if name == "default" else workspace_config("/workspace")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(user))
+    cfg = cli.load_config(config_path)
+    assert {kind: cli._stage(cfg, kind).config_hash
+            for kind in cli.STAGE_SECTIONS} == STAGE_HASHES[name]
 
 
 def test_build_corpus_rerun_is_skipped(tmp_path, capsys):
@@ -195,6 +260,19 @@ def test_train_adapter_both_default_styles(trained):
                  "--style", "action"]) == 0
     assert run_dirs(cfg, "train-adapter-romance-")
     assert run_dirs(cfg, "train-adapter-action-")
+
+
+def test_adapter_activation_applies_with_default_bottleneck(tmp_path):
+    config_path, cfg = build_workspace(tmp_path)
+    cfg["adapters"]["activation"] = "tanh"
+    config_path.write_text(json.dumps(cfg))
+    for argv in (["build-corpus"], ["train-adapter", "--style", "romance"]):
+        assert main(["--config", str(config_path)] + argv) == 0
+    (run_dir,) = run_dirs(cfg, "train-adapter-romance-")
+    manifest = json.loads(
+        (run_dir / "checkpoints" / "adapter" / "manifest.json").read_text())
+    assert manifest["config"]["activation"] == "tanh"
+    assert manifest["config"]["bottleneck_dim"] == cfg["lm"]["d_model"] // 8
 
 
 def test_non_styled_produces_finetuned_checkpoint(trained):

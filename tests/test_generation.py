@@ -135,6 +135,17 @@ def test_top_k_filter_and_ties():
                                              [True, True, False, False]])
 
 
+def test_top_k_ties_go_to_lower_ids_in_long_rows():
+    # numpy's default argsort keeps tied entries in order only in short rows
+    rows = np.random.default_rng(0).integers(0, 2, size=(4, 40)).astype(float)
+    rows = np.vstack([rows, np.zeros(40)])
+    for k in (1, 5, 12, 30):
+        kept = np.isfinite(top_k_filter(rows, k))
+        for row, row_kept in zip(rows, kept):
+            expected = sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
+            assert np.flatnonzero(row_kept).tolist() == sorted(expected)
+
+
 def test_step_log_probs_are_normalized_and_non_positive():
     rng = np.random.default_rng(2)
     cfg = small_cfg()
