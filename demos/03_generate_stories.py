@@ -16,7 +16,7 @@ from ppst.adapters import (AdapterTrainConfig, StyledLanguageModel, attach,
 from ppst.encoding import HashedNgramEncoder
 from ppst.generation import DecodeConfig, generate
 from ppst.lm import CausalTransformerLM, LmConfig
-from ppst.mapper import MapperConfig, MapperTrainConfig, map_prefix, train_mapper
+from ppst.mapper import MapperConfig, MapperTrainConfig, train_mapper
 from ppst.synthetic import make_caption_dataset, make_style_passages
 from ppst.tokenizer import WordTokenizer
 
@@ -64,7 +64,7 @@ decode = DecodeConfig(beam_size=5, temperature=0.8, top_k=10,
 print(f"\nsetup done in {time.perf_counter() - t0:.1f}s; generating the same "
       "images through each view...\n")
 for pair in pairs[:3]:
-    prefix = map_prefix(encoder.encode_image(pair.image_ref), mapper)
+    prefix = mapper.map_prefix(encoder.encode_image(pair.image_ref))
     print(f"image caption: {pair.caption_text}")
     for name, model in views.items():
         record = generate(prefix, model, decode, image_ref=pair.image_ref)

@@ -268,7 +268,6 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
 
     max_len = min(cfg.max_seq_len, lm.config.max_seq_len)
     optimizer = nn.Adam(trainable_params, lr=cfg.learning_rate)
-    adapter_params = list(trainable_params.values())
     loss_log = []
     best_val = math.inf
     stale = 0
@@ -277,10 +276,7 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
         for start in range(0, len(train), cfg.batch_size):
             chunk = train[start: start + cfg.batch_size]
             inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer, max_len)
-            for p in adapter_params:
-                p.zero_grad()
-            for p in lm.params().values():
-                p.zero_grad()
+            optimizer.zero_grad()
             logits, cache = lm.forward_tokens(inputs, adapters)
             loss, dlogits = masked_cross_entropy(logits, targets, mask)
             if not math.isfinite(loss):

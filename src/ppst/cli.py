@@ -6,20 +6,20 @@
     ppst generate --style S --images DIR --config cfg.json
     ppst evaluate --records F --gold F --config cfg.json
 
-The config is a single JSON file with per-stage sections (see
-DEFAULT_CONFIG). The keys and defaults of `lm`, `mapper`, `adapters` and
-`decode` are the fields of the dataclasses that each stage builds from them
-(SECTION_CLASSES). A value must have its default's type: an int passes for
-a float and stays an int, a bool is no number, and a None default takes null
-or the field's type (a string for paths and ids). `adapters.bottleneck_dim`
-0 means `d_model // 8`. Each command is a `Stage` with a run directory
-`<artifacts_dir>/<stage>-<confighash>/`; the hash also covers the files of an
-explicit `lm.checkpoint`. A stage works in a staging dir under a pid lock (a
-lock whose pid is gone is removed), then moves its outputs into place and
-writes manifest.json last, so a crashed run leaves the previous one intact.
-A complete manifest over unchanged inputs is skipped unless --force is given;
-a downstream stage reads only complete upstream runs. `generate` checks that
-the mapper was trained on the base LM and encoder in use.
+The config is a single JSON file with per-stage sections (see DEFAULT_CONFIG).
+The keys and defaults of `lm`, `mapper`, `adapters`, `decode`, `encoder` and
+`eval` are the parameters of the dataclasses, encoder and evaluator that each
+stage builds from them (SECTION_CLASSES). A value must have its default's type:
+an int passes for a float and stays an int, a bool is no number, and a None
+default takes null or the field's type (a string for paths and ids).
+`adapters.bottleneck_dim` 0 means `d_model // 8`. Each command is a `Stage`
+with a run directory `<artifacts_dir>/<stage>-<confighash>/`; the hash also
+covers the files of an explicit `lm.checkpoint`. A stage works in a staging dir
+under a pid lock (a lock whose pid is gone is removed), then moves its outputs
+into place and writes manifest.json last, so a crashed run leaves the previous
+one intact. A complete manifest over unchanged inputs is skipped unless --force
+is given; a downstream stage reads only complete upstream runs. `generate`
+checks that the mapper was trained on the base LM and encoder in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
 corrupt file, a config key not in DEFAULT_CONFIG or of the wrong type, a
@@ -33,6 +33,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -44,7 +45,8 @@ from types import SimpleNamespace
 from . import corpus as corpus_mod
 from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
                        StyledLanguageModel, adapter_data_fingerprint, attach,
-                       train_adapter, train_full_finetune, train_on_texts)
+                       default_adapter_config, train_adapter, train_full_finetune,
+                       train_on_texts)
 from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
                         read_jsonl, read_manifest, read_text, write_jsonl)
 from .encoding import HashedNgramEncoder
@@ -58,16 +60,18 @@ from .tokenizer import WordTokenizer
 
 SCORER_ENDPOINT_ENV = "PPST_SCORER_ENDPOINT"
 
-# the dataclasses each section feeds; its keys are their fields less the ones
-# a stage supplies, with their defaults
+# the classes or functions each section feeds; its keys are their parameters
+# that have a default, less the ones a stage supplies, with those defaults
 SECTION_CLASSES = {"lm": (LmConfig,), "mapper": (MapperConfig, MapperTrainConfig),
-                   "adapters": (AdapterTrainConfig,), "decode": (DecodeConfig,)}
+                   "adapters": (AdapterTrainConfig,), "decode": (DecodeConfig,),
+                   "encoder": (HashedNgramEncoder,), "eval": (evaluate_run,)}
 
 
 def _defaults(section):
-    return {f.name: f.default for cls in SECTION_CLASSES[section]
-            for f in dataclasses.fields(cls)
-            if f.name not in ("vocab_size", "input_dim", "lm_embed_dim", "seed")}
+    return {name: p.default for cls in SECTION_CLASSES[section]
+            for name, p in inspect.signature(cls).parameters.items()
+            if p.default is not p.empty
+            and name not in ("seed", "encoder", "scorer_endpoint")}
 
 
 DEFAULT_CONFIG = {
@@ -79,8 +83,7 @@ DEFAULT_CONFIG = {
         "captions": None,           # caption-pair JSONL (image_ref/caption/split)
         "caption_fraction": 0.1,
     },
-    "encoder": {"embed_dim": 256, "n_buckets": 2048, "max_text_tokens": 77,
-                "model_id": None},
+    "encoder": _defaults("encoder"),
     "lm": {
         "checkpoint": None,         # use an existing LM checkpoint instead of building
         **_defaults("lm"),          # then the tokenizer and pretraining of a built LM:
@@ -94,7 +97,7 @@ DEFAULT_CONFIG = {
         **_defaults("adapters"),
     },
     "decode": _defaults("decode"),
-    "eval": {"clip_weight": 2.5, "scorer_timeout": 10.0},
+    "eval": _defaults("eval"),
 }
 
 
@@ -217,7 +220,7 @@ def cmd_build_corpus(cfg, force=False):
 
     stage = _stage(cfg, "build-corpus")
     if stage.skip(input_fp, force):
-        return 0
+        return
     catalog = corpus_mod.GenreCatalog.from_table(catalog_path)
     books = [(f.stem, read_text(f)) for f in book_files]
     pairs = []
@@ -239,7 +242,6 @@ def cmd_build_corpus(cfg, force=False):
             print(f"build-corpus: kept {len(pairs)} caption pairs "
                   f"(fraction {section['caption_fraction']})")
         manifest.update(n_passages=len(passages), n_caption_pairs=len(pairs))
-    return 0
 
 
 def _read_corpus(cfg):
@@ -302,7 +304,7 @@ def cmd_train_mapper(cfg, force=False):
     stage = _stage(cfg, "train-mapper")
     input_fp = mapper_data_fingerprint(captions)
     if stage.skip(input_fp, force):
-        return 0
+        return
 
     mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
                            lm_embed_dim=lm.config.d_model)
@@ -322,7 +324,6 @@ def cmd_train_mapper(cfg, force=False):
         manifest.update(encoder_model_id=encoder.model_id, lm_id=lm.lm_id)
     print(f"train-mapper: final loss {loss_log[-1]['train_loss']:.4f} "
           f"after {len(loss_log)} epochs")
-    return 0
 
 
 def cmd_train_adapter(cfg, style, force=False):
@@ -340,7 +341,7 @@ def cmd_train_adapter(cfg, style, force=False):
     stage = _stage(cfg, "train-adapter", style, extra=style)
     input_fp = adapter_data_fingerprint(passages)
     if stage.skip(input_fp, force):
-        return 0
+        return
 
     train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"])
     with stage.run(input_fp) as (out, manifest):
@@ -349,7 +350,8 @@ def cmd_train_adapter(cfg, style, force=False):
             tuned.save(out / "checkpoints" / "lm_finetuned")
         else:
             adapter_config = _build(AdapterConfig, section, bottleneck_dim=(
-                section["bottleneck_dim"] or max(1, lm.config.d_model // 8)))
+                section["bottleneck_dim"]
+                or default_adapter_config(lm.config.d_model).bottleneck_dim))
             with _frozen(lm):
                 adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
                                                       adapter_config=adapter_config)
@@ -362,7 +364,6 @@ def cmd_train_adapter(cfg, style, force=False):
         manifest.update(style=style, n_passages=len(passages))
     final = loss_log[-1]["train_loss"] if loss_log else float("nan")
     print(f"train-adapter[{style}]: {len(passages)} passages, final loss {final:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ def cmd_generate(cfg, images, style, force=False):
     image_fp = fingerprint_json([fingerprint_file(f) for f in image_files])
     stage = _stage(cfg, "generate", style, extra={"style": style, "images": image_fp})
     if stage.skip(image_fp, force):
-        return 0
+        return
 
     mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
     mapper = PrefixMapper.load(mapper_ckpt)
@@ -433,7 +434,6 @@ def cmd_generate(cfg, images, style, force=False):
         manifest.update(n_records=n_ok, n_images=len(image_files), model=model.manifest())
     print(f"generate[{style}]: {n_ok}/{len(image_files)} records -> "
           f"{stage.dir / 'records' / 'records.jsonl'}")
-    return 0
 
 
 def cmd_evaluate(cfg, records_path, gold_path, force=False):
@@ -455,7 +455,7 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
     stage = _stage(cfg, "evaluate", extra={"records": records_fp, "gold": gold_fp})
     input_fp = fingerprint_json([records_fp, gold_fp])
     if stage.skip(input_fp, force):
-        return 0
+        return
 
     report = evaluate_run(rows, references, encoder=HashedNgramEncoder(**cfg["encoder"]),
                           scorer_endpoint=os.environ.get(SCORER_ENDPOINT_ENV), **cfg["eval"])
@@ -472,7 +472,6 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
     if report.unavailable:
         print(f"evaluate: unavailable metrics: {', '.join(sorted(report.unavailable))}")
     print(f"evaluate: report -> {stage.dir / 'reports' / 'report.jsonl'}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +503,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         cfg = load_config(args.config, seed=args.seed)
-        code = {
+        {
             "build-corpus": lambda: cmd_build_corpus(cfg, args.force),
             "train-mapper": lambda: cmd_train_mapper(cfg, args.force),
             "train-adapter": lambda: cmd_train_adapter(cfg, args.style, args.force),
@@ -518,7 +517,7 @@ def main(argv=None):
         print(f"ppst {args.command}: {exc}", file=sys.stderr)
         return 2
     print(f"ppst {args.command}: done in {time.perf_counter() - started:.1f}s")
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -125,7 +125,8 @@ class CausalTransformerLM:
                 dh = adapters[i].backward(dh, adapter_cache)
             dh = self.blocks[i].backward(dh, block_cache)
         # gradient w.r.t. the raw input embeddings (pos_emb grad accumulated here)
-        self.pos_emb.grad[: dh.shape[1]] += dh.sum(axis=0)
+        if self.pos_emb.grad is not None:
+            self.pos_emb.grad[: dh.shape[1]] += dh.sum(axis=0)
         return dh
 
     def forward_tokens(self, ids, adapters=None):
@@ -138,7 +139,8 @@ class CausalTransformerLM:
     def backward_tokens(self, dlogits, cache, adapters=None):
         inner, ids = cache
         dembeds = self.backward(dlogits, inner, adapters)
-        np.add.at(self.tok_emb.grad, ids, dembeds)
+        if self.tok_emb.grad is not None:
+            np.add.at(self.tok_emb.grad, ids, dembeds)
         return dembeds
 
     # -- persistence ---------------------------------------------------------

@@ -113,11 +113,6 @@ class PrefixMapper:
             MapperConfig(**manifest["config"]), seed=manifest.get("seed", 0)))
 
 
-def map_prefix(embedding, mapper):
-    """Project one visual embedding into a fixed-length visual prefix."""
-    return mapper.map_prefix(embedding)
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -200,8 +195,6 @@ def train_mapper(pairs, encoder, base_lm, cfg: MapperTrainConfig,
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start: start + cfg.batch_size]
                 optimizer.zero_grad()
-                for lm_param in base_lm.params().values():
-                    lm_param.zero_grad()
                 loss = prefix_batch_loss(mapper, base_lm, embeddings[idx],
                                          [captions[i] for i in idx], backward=True)
                 if not math.isfinite(loss):

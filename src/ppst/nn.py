@@ -1,7 +1,9 @@
 """Minimal neural-network layers on numpy arrays with explicit backward passes.
 
 Every layer exposes ``forward(x) -> (y, cache)`` and ``backward(dy, cache) -> dx``;
-``backward`` accumulates parameter gradients into ``Param.grad``. Caches are passed
+``backward`` accumulates into the ``grad`` of every param that has a gradient. A
+param frozen by ``freeze_params`` has none (``grad`` is None), so backward skips
+its products and only carries ``dx`` through. Caches are passed
 explicitly so forward-only inference is stateless and safe to run concurrently.
 All math runs in float64; checkpoints store float32 (see artifacts.py).
 """
@@ -17,7 +19,7 @@ from .errors import ConfigurationError
 
 
 class Param:
-    """A named tensor with an accumulated gradient."""
+    """A tensor with an accumulated gradient, or ``grad`` None while frozen."""
 
     __slots__ = ("value", "grad")
 
@@ -97,10 +99,11 @@ class Linear:
         return x @ self.w.value + self.b.value, x
 
     def backward(self, dy, x):
-        d_in = self.w.value.shape[0]
-        d_out = self.w.value.shape[1]
-        self.w.grad += x.reshape(-1, d_in).T @ dy.reshape(-1, d_out)
-        self.b.grad += dy.reshape(-1, d_out).sum(axis=0)
+        d_in, d_out = self.w.value.shape
+        if self.w.grad is not None:
+            self.w.grad += x.reshape(-1, d_in).T @ dy.reshape(-1, d_out)
+        if self.b.grad is not None:
+            self.b.grad += dy.reshape(-1, d_out).sum(axis=0)
         return dy @ self.w.value.T
 
     def params(self, prefix):
@@ -124,8 +127,10 @@ class LayerNorm:
 
     def backward(self, dy, cache):
         xhat, inv = cache
-        self.gain.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-        self.bias.grad += dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+        if self.gain.grad is not None:
+            self.gain.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+        if self.bias.grad is not None:
+            self.bias.grad += dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
         dxhat = dy * self.gain.value
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -319,19 +324,22 @@ def param_count(params):
 
 
 class freeze_params:
-    """Context manager marking arrays read-only; any in-place update raises."""
+    """Context manager freezing params: each value is read-only (any in-place
+    update raises) and has no gradient; both are restored on exit."""
 
     def __init__(self, params):
-        self.values = [p.value for p in params.values()]
+        self.params = list(params.values())
         self.saved = []
 
     def __enter__(self):
-        self.saved = [v.flags.writeable for v in self.values]
-        for v in self.values:
-            v.flags.writeable = False
+        self.saved = [(p.value.flags.writeable, p.grad) for p in self.params]
+        for p in self.params:
+            p.value.flags.writeable = False
+            p.grad = None
         return self
 
     def __exit__(self, *exc):
-        for v, w in zip(self.values, self.saved):
-            v.flags.writeable = w
+        for p, (writeable, grad) in zip(self.params, self.saved):
+            p.value.flags.writeable = writeable
+            p.grad = grad
         return False

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from ppst import nn
 from ppst.lm import CausalTransformerLM, LmConfig
 from ppst.tokenizer import WordTokenizer
 
@@ -15,6 +17,30 @@ def make_tiny_lm(n_words=8, n_layer=2, n_head=2, d_model=8, d_ff=16,
 @pytest.fixture
 def tiny_lm():
     return make_tiny_lm()
+
+
+def grads_unfrozen_and_frozen(lm, trainable, backward):
+    """The grads of `trainable` after one `backward()` with `lm` unfrozen, then
+    after one inside `nn.freeze_params(lm.params())`.
+
+    Also checks that the freeze hides every LM gradient and puts the same
+    arrays, with the same values, back on exit.
+    """
+    def run():
+        for p in trainable.values():
+            p.zero_grad()
+        backward()
+        return {name: p.grad.copy() for name, p in trainable.items()}
+
+    unfrozen = run()
+    lm_grads = {name: (p.grad, p.grad.copy()) for name, p in lm.params().items()}
+    assert any(g.any() for g, _ in lm_grads.values())
+    with nn.freeze_params(lm.params()):
+        frozen = run()
+        assert all(p.grad is None for p in lm.params().values())
+    for name, p in lm.params().items():
+        assert p.grad is lm_grads[name][0] and np.array_equal(p.grad, lm_grads[name][1])
+    return unfrozen, frozen
 
 
 def central_difference(loss_fn, array, index, h=1e-6):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_tiny_lm
+from conftest import grads_unfrozen_and_frozen, make_tiny_lm
 from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
                            StyleAdapterSet, StyledLanguageModel, attach,
                            default_adapter_config, train_adapter,
@@ -160,6 +160,24 @@ def test_train_adapter_freezes_lm_and_specializes():
     plain = StyledLanguageModel(base, None, "plain")
     assert styled.perplexity(holdout_rom) < plain.perplexity(holdout_rom)
     assert styled.perplexity(holdout_act) >= styled.perplexity(holdout_rom)
+
+
+def test_freezing_the_lm_leaves_adapter_gradients_bit_equal(tiny_lm):
+    adapter_set = StyleAdapterSet.create("romance", tiny_lm, AdapterConfig(bottleneck_dim=3))
+    rng = np.random.default_rng(4)
+    for block in adapter_set.blocks:     # away from the zero-init identity
+        block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape)
+        block.up.b.value[...] = rng.standard_normal(block.up.b.value.shape)
+    ids = rng.integers(0, tiny_lm.config.vocab_size, size=(2, 6))
+    dlogits = rng.standard_normal((2, 6, tiny_lm.config.vocab_size))
+
+    def backward():
+        _, cache = tiny_lm.forward_tokens(ids, adapter_set.blocks)
+        tiny_lm.backward_tokens(dlogits, cache, adapter_set.blocks)
+
+    unfrozen, frozen = grads_unfrozen_and_frozen(tiny_lm, adapter_set.params(), backward)
+    for name, grad in unfrozen.items():
+        assert grad.any() and np.array_equal(frozen[name], grad), name
 
 
 def test_train_adapter_validates_style_membership(tiny_lm):

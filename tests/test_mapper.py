@@ -3,13 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import central_difference, grad_close, make_tiny_lm
+from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
+                      make_tiny_lm)
 from ppst.corpus import ImageCaptionPair
 from ppst.encoding import ImageTextEncoder, VisualEmbedding
 from ppst.errors import ConfigurationError
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, VisualPrefix,
-                         build_prefix_batch, map_prefix, prefix_batch_loss,
-                         train_mapper)
+                         build_prefix_batch, prefix_batch_loss, train_mapper)
 from ppst.nn import masked_cross_entropy
 
 
@@ -41,7 +41,7 @@ def test_default_prefix_length_is_10():
     cfg = MapperConfig(input_dim=16, lm_embed_dim=8)
     mapper = PrefixMapper(cfg, seed=0)
     emb = VisualEmbedding(vector=np.ones(16), model_id="m")
-    assert map_prefix(emb, mapper).matrix.shape == (10, 8)
+    assert mapper.map_prefix(emb).matrix.shape == (10, 8)
 
 
 def test_zero_input_zero_bias_gives_zero_prefix():
@@ -49,7 +49,7 @@ def test_zero_input_zero_bias_gives_zero_prefix():
     mapper.fc1.b.value[...] = 0.0
     mapper.fc2.b.value[...] = 0.0
     emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
-    assert np.array_equal(map_prefix(emb, mapper).matrix, np.zeros((3, 8)))
+    assert np.array_equal(mapper.map_prefix(emb).matrix, np.zeros((3, 8)))
 
 
 def test_dimension_mismatch_rejected():
@@ -64,7 +64,7 @@ def test_row_major_reshape():
     mapper.fc2.w.value[...] = 0.0
     mapper.fc2.b.value[...] = flat
     emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
-    assert np.array_equal(map_prefix(emb, mapper).matrix, flat.reshape(3, 8))
+    assert np.array_equal(mapper.map_prefix(emb).matrix, flat.reshape(3, 8))
 
 
 def test_visual_prefix_validation():
@@ -98,6 +98,17 @@ def test_mapper_gradients_through_frozen_lm():
             assert grad_close(fd, grad[i], rel_tol=1e-4), (name, i)
             checked += 1
     assert checked == 4 * 6 + 6 + 6 * 24 + 24
+
+
+def test_freezing_the_lm_leaves_mapper_gradients_bit_equal():
+    lm = make_tiny_lm(n_words=6, d_model=8, d_ff=16, max_seq_len=16, seed=3)
+    mapper = small_mapper(input_dim=4, lm_embed_dim=8, hidden=6, prefix_length=3)
+    embeddings = np.random.default_rng(0).standard_normal((2, 4))
+    captions = [[4, 5, lm.tokenizer.eos_id], [6, lm.tokenizer.eos_id]]
+    unfrozen, frozen = grads_unfrozen_and_frozen(lm, mapper.params(), lambda: (
+        prefix_batch_loss(mapper, lm, embeddings, captions, backward=True)))
+    for name, grad in unfrozen.items():
+        assert grad.any() and np.array_equal(frozen[name], grad), name
 
 
 def test_prefix_positions_carry_no_loss():

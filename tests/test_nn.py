@@ -172,8 +172,11 @@ def test_adam_reduces_quadratic():
 
 def test_freeze_params_blocks_writes():
     p = nn.Param(np.zeros(3))
+    grad = p.grad
     with nn.freeze_params({"p": p}):
         with pytest.raises(ValueError):
             p.value += 1.0
+        assert p.grad is None    # a frozen param has no gradient
     p.value += 1.0           # writable again afterwards
     assert p.value[0] == 1.0
+    assert p.grad is grad    # and its gradient is back
