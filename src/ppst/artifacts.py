@@ -28,6 +28,8 @@ MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".lock"
 STAGING_DIR = ".staging"
 
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
 
 def save_tensors(directory, arrays):
     """Write {name: array} as float32 LE + shape index into `directory`."""
@@ -55,13 +57,16 @@ def load_tensors(directory):
     except OSError as exc:
         raise CompatibilityError(f"{path} is unreadable: {exc}") from None
     out = {}
-    for entry in index:
-        start, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
-        if start + nbytes > len(blob) or nbytes != 4 * int(np.prod(shape)):
-            raise CompatibilityError(f"{path} is truncated or does not match "
-                                     f"{INDEX_FILE} at tensor {entry['name']!r}")
-        arr = np.frombuffer(blob[start: start + nbytes], dtype="<f4").reshape(shape)
-        out[entry["name"]] = arr.astype(np.float64)
+    try:
+        for entry in index:
+            start, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
+            if start + nbytes > len(blob) or nbytes != 4 * int(np.prod(shape)):
+                raise CompatibilityError(f"{path} is truncated or does not match "
+                                         f"{INDEX_FILE} at tensor {entry['name']!r}")
+            arr = np.frombuffer(blob[start: start + nbytes], dtype="<f4").reshape(shape)
+            out[entry["name"]] = arr.astype(np.float64)
+    except _MALFORMED as exc:
+        raise CompatibilityError(f"{directory / INDEX_FILE} is malformed: {exc!r}") from None
     return out
 
 
@@ -89,7 +94,10 @@ def strict_checksum(arrays):
 
 
 def fingerprint_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise InputError(f"{path} is unreadable: {exc}", ref=str(path)) from None
 
 
 def fingerprint_json(obj):
@@ -154,7 +162,10 @@ def write_manifest(directory, manifest):
 
 def read_manifest(directory):
     path = Path(directory) / MANIFEST_FILE
-    return read_json(path) if path.exists() else None
+    manifest = read_json(path) if path.exists() else None
+    if manifest is not None and not isinstance(manifest, dict):
+        raise InputError(f"{path} is not a JSON object", ref=str(path))
+    return manifest
 
 
 def save_checkpoint(directory, kind, params, meta):
@@ -168,14 +179,18 @@ def load_checkpoint(directory, kind, build):
     """Model rebuilt from a checkpoint of `kind`.
 
     `build(manifest)` returns a freshly initialised model; its `params()` then
-    receive the stored tensors. A checkpoint of another kind, or whose tensor
-    names and shapes differ from the model's, raises CompatibilityError.
+    receive the stored tensors. Another kind, a manifest `build` cannot read,
+    or tensor names and shapes unlike the model's raise CompatibilityError.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
     if manifest is None or manifest.get("kind") != kind:
         raise CompatibilityError(f"{directory} is not a {kind} checkpoint")
-    model = build(manifest)
+    try:
+        model = build(manifest)
+    except (*_MALFORMED, ConfigurationError) as exc:
+        raise CompatibilityError(f"{directory / MANIFEST_FILE} does not describe a "
+                                 f"{kind} model: {exc!r}") from None
     params = model.params()
     tensors = load_tensors(directory)
     if {n: t.shape for n, t in tensors.items()} != {n: p.value.shape for n, p in params.items()}:

@@ -382,9 +382,9 @@ def _styled_model(cfg, style, lm):
 
 
 def _list_images(images):
-    path = Path(images)
+    path = _require(images, "images")
     suffixes = (".pgm", ".ppm", ".pbm", ".png", ".jpg", ".jpeg")
-    files = (sorted(p for p in path.iterdir() if p.suffix.lower() in suffixes)
+    files = (sorted(p for p in path.iterdir() if p.suffix.lower() in suffixes and p.is_file())
              if path.is_dir() else [path])
     if not files:
         raise InputError(f"no images found under {images}", ref=str(images))

@@ -1,13 +1,14 @@
 """Frozen image/text embedding front end.
 
 The pipeline treats the encoder as an opaque, immutable component that maps
-images and texts into one shared d_e-dimensional space. `ImageTextEncoder`
-is the interface; `HashedNgramEncoder` is the bundled implementation: a
-deterministic character/byte n-gram featurizer followed by a fixed random
-projection seeded from the model id. It has no learned weights, never
-updates, and keeps image/text relevance meaningful whenever image pixel
-content mirrors text (the synthetic datasets in synthetic.py do exactly
-that). Wrappers for real contrastive checkpoints can subclass the interface.
+images and texts into one shared d_e-dimensional space. A caller needs four
+names from it: `encode_image`, `encode_text`, `embed_dim` and `model_id`.
+`HashedNgramEncoder` is the bundled implementation: a deterministic
+character/byte n-gram featurizer followed by a fixed random projection seeded
+from the model id. It has no learned weights, never updates, and keeps
+image/text relevance meaningful whenever image pixel content mirrors text
+(the synthetic datasets in synthetic.py do exactly that). A wrapper for a
+real contrastive checkpoint provides the same four names.
 
 Embeddings are stored unnormalized; metric code normalizes on demand.
 """
@@ -15,33 +16,24 @@ Embeddings are stored unnormalized; metric code normalizes on demand.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json
 from .errors import ConfigurationError, InputError
-
-_NORM_TOL = 1e-4
 
 
 @dataclass
 class VisualEmbedding:
     vector: np.ndarray
     model_id: str
-    l2_normalized: bool = False
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise ConfigurationError("embedding vector must be 1-D")
-        if self.l2_normalized:
-            norm = float(np.linalg.norm(self.vector))
-            if abs(norm - 1.0) > _NORM_TOL:
-                raise ConfigurationError(f"l2_normalized embedding has norm {norm}")
 
     @property
     def dim(self):
@@ -50,23 +42,6 @@ class VisualEmbedding:
 
 class TextEmbedding(VisualEmbedding):
     pass
-
-
-class ImageTextEncoder:
-    """Interface for a frozen contrastive image/text encoder."""
-
-    model_id: str
-    embed_dim: int
-    max_text_tokens: int
-
-    def encode_image(self, image_ref) -> VisualEmbedding:
-        raise NotImplementedError
-
-    def encode_text(self, text) -> TextEmbedding:
-        raise NotImplementedError
-
-    def checksum(self) -> str:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +102,10 @@ def _parse_netpbm(data):
     while len(fields) < 3:
         fields.append(int(next_token()))
     width, height, maxval = fields
-    if width <= 0 or height <= 0 or not (0 < maxval < 65536):
+    if width <= 0 or height <= 0:
         raise ValueError("bad dimensions")
+    if not 0 < maxval <= 255:
+        raise ValueError(f"maxval {maxval} is not supported (8-bit samples only)")
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
     if magic in ("P5", "P6"):
@@ -161,7 +138,7 @@ def write_pgm(path, pixels):
 # the bundled deterministic encoder
 
 
-class HashedNgramEncoder(ImageTextEncoder):
+class HashedNgramEncoder:
     """Deterministic n-gram hashing + fixed random projection.
 
     Text is truncated to `max_text_tokens` whitespace tokens, then character
@@ -219,103 +196,20 @@ class HashedNgramEncoder(ImageTextEncoder):
                               + struct.pack("<III", self.embed_dim, self.n_buckets,
                                             self.max_text_tokens)).hexdigest()
 
-    def save(self, directory):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "encoder.json").write_text(json.dumps({
-            "kind": "hashed_ngram_encoder",
-            "model_id": self.model_id,
-            "embed_dim": self.embed_dim,
-            "n_buckets": self.n_buckets,
-            "max_text_tokens": self.max_text_tokens,
-            "checksum": self.checksum(),
-        }, indent=2))
-        return directory
-
-    @classmethod
-    def load(cls, directory):
-        meta = read_json(Path(directory) / "encoder.json")
-        if meta.get("kind") != "hashed_ngram_encoder":
-            raise ConfigurationError(f"{directory} is not an encoder checkpoint")
-        enc = cls(embed_dim=meta["embed_dim"], model_id=meta["model_id"],
-                  max_text_tokens=meta["max_text_tokens"], n_buckets=meta["n_buckets"])
-        if enc.checksum() != meta["checksum"]:
-            raise ConfigurationError("encoder checksum mismatch after load")
-        return enc
-
 
 # ---------------------------------------------------------------------------
-# embedding cache: length-prefixed little-endian float32 records
-
-
-_CACHE_MAGIC = b"PPEC"
+# in-memory embedding cache
 
 
 class EmbeddingCache:
-    """On-disk cache of embeddings keyed by image_ref or text hash.
-
-    Binary layout: magic, then [u32 len][model_id utf-8]; each record is
-    [u32 len][key utf-8][u32 dim][dim * f32 LE].
-    """
+    """Image embeddings of one encoder, kept in memory by image_ref."""
 
     def __init__(self, model_id):
         self.model_id = model_id
         self.entries = {}
-
-    @staticmethod
-    def text_key(text):
-        return "text:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def put(self, key, vector):
-        self.entries[key] = np.asarray(vector, dtype=np.float64)
-
-    def get(self, key):
-        return self.entries.get(key)
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            mid = self.model_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(mid)) + mid)
-            for key in sorted(self.entries):
-                kb = key.encode("utf-8")
-                vec = np.ascontiguousarray(self.entries[key], dtype="<f4")
-                fh.write(struct.pack("<I", len(kb)) + kb)
-                fh.write(struct.pack("<I", vec.size) + vec.tobytes())
-
-    @classmethod
-    def load(cls, path):
-        data = Path(path).read_bytes()
-        if data[:4] != _CACHE_MAGIC:
-            raise InputError(f"{path} is not an embedding cache", ref=str(path))
-        pos = 4
-
-        def take(n):
-            nonlocal pos
-            if pos + n > len(data):
-                raise InputError(f"truncated embedding cache {path}", ref=str(path))
-            out = data[pos: pos + n]
-            pos += n
-            return out
-
-        (mid_len,) = struct.unpack("<I", take(4))
-        cache = cls(take(mid_len).decode("utf-8"))
-        while pos < len(data):
-            (key_len,) = struct.unpack("<I", take(4))
-            key = take(key_len).decode("utf-8")
-            (dim,) = struct.unpack("<I", take(4))
-            vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
-            cache.entries[key] = vec
-        return cache
 
     def image_embedding(self, encoder, image_ref):
         key = str(image_ref)
         if key not in self.entries:
             self.entries[key] = encoder.encode_image(image_ref).vector
         return VisualEmbedding(vector=self.entries[key], model_id=self.model_id)
-
-    def text_embedding(self, encoder, text):
-        key = self.text_key(text)
-        if key not in self.entries:
-            self.entries[key] = encoder.encode_text(text).vector
-        return TextEmbedding(vector=self.entries[key], model_id=self.model_id)

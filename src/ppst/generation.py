@@ -102,10 +102,10 @@ class GenerationRecord:
     wall_time_s: float
     warnings: list = field(default_factory=list)
 
-    def to_json_line(self, include_wall_time=False):
+    def to_json_line(self):
         """Persisted record line. Wall time is volatile, so it is written as
-        null by default to keep record files byte-identical across reruns;
-        real timings go to a sidecar (see cli.py)."""
+        null to keep record files byte-identical across reruns; real timings
+        go to a sidecar (see cli.py)."""
         return json.dumps({
             "image_ref": self.image_ref,
             "style": self.style,
@@ -114,7 +114,7 @@ class GenerationRecord:
             "config": self.config,
             "seed": self.config.get("seed"),
             "model_manifest": self.model_manifest,
-            "wall_time_s": self.wall_time_s if include_wall_time else None,
+            "wall_time_s": None,
         }, sort_keys=True, ensure_ascii=False)
 
 

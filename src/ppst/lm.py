@@ -202,8 +202,7 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer,
                                                      lm.config.max_seq_len)
         logits, _ = lm.forward_tokens(inputs, adapters)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        logp = nn.log_softmax(logits)
         nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())

@@ -275,9 +275,6 @@ class MetricReport:
                 self.corpus[metric] = float(np.mean(values))
         return self
 
-    def columns(self):
-        return [c for c in REPORT_COLUMNS if c in self.corpus or c in self.unavailable]
-
     def to_jsonl(self):
         lines = []
         for item_id in sorted(self.per_item):

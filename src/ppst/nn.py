@@ -254,6 +254,12 @@ class TransformerBlock:
 # loss
 
 
+def log_softmax(logits):
+    """Log-probabilities over the last axis, shifted by the row max for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def masked_cross_entropy(logits, targets, mask):
     """Next-token cross-entropy, averaged per example then over examples.
 
@@ -262,9 +268,7 @@ def masked_cross_entropy(logits, targets, mask):
     are excluded from the mean. Returns (loss, dloss/dlogits).
     """
     b, t, v = logits.shape
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax(logits)
     safe_targets = np.clip(targets, 0, v - 1)
     nll = -np.take_along_axis(logp, safe_targets[..., None], axis=-1)[..., 0]
 

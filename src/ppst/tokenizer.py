@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 from .artifacts import read_json
+from .errors import CompatibilityError
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 SPECIALS = (PAD, BOS, EOS, UNK)
@@ -42,8 +43,8 @@ class WordTokenizer:
             ids.append(self.eos_id)
         return ids
 
-    def decode(self, ids, skip_special=True):
-        special = {self.pad_id, self.bos_id, self.eos_id} if skip_special else set()
+    def decode(self, ids):
+        special = {self.pad_id, self.bos_id, self.eos_id}
         return " ".join(self.itos[i] for i in ids if i not in special)
 
     def save(self, path):
@@ -51,12 +52,11 @@ class WordTokenizer:
 
     @classmethod
     def load(cls, path):
+        """Inverse of save: the stored list must be one `__init__` rebuilds as is."""
         itos = read_json(path)
-        tok = cls.__new__(cls)
-        tok.itos = itos
-        tok.stoi = {w: i for i, w in enumerate(itos)}
-        tok.pad_id = tok.stoi[PAD]
-        tok.bos_id = tok.stoi[BOS]
-        tok.eos_id = tok.stoi[EOS]
-        tok.unk_id = tok.stoi[UNK]
+        listed = isinstance(itos, list) and all(isinstance(w, str) for w in itos)
+        tok = cls(itos if listed else [])
+        if tok.itos != itos or len(tok.stoi) != len(itos):
+            raise CompatibilityError(f"{path} is not a vocabulary: a list of distinct "
+                                     f"words that starts with {', '.join(SPECIALS)}")
         return tok

@@ -6,14 +6,14 @@ import pytest
 from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
                       make_tiny_lm)
 from ppst.corpus import ImageCaptionPair
-from ppst.encoding import ImageTextEncoder, VisualEmbedding
+from ppst.encoding import VisualEmbedding
 from ppst.errors import ConfigurationError
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, VisualPrefix,
                          build_prefix_batch, prefix_batch_loss, train_mapper)
 from ppst.nn import masked_cross_entropy
 
 
-class StubEncoder(ImageTextEncoder):
+class StubEncoder:
     """Deterministic embedding per image_ref, no file IO."""
 
     def __init__(self, embed_dim=4):

@@ -247,6 +247,54 @@ def test_truncated_tensors_exit_2(workspace, capsys):
                    "--images", str(images))
 
 
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("run_prefix, name, damage", [
+    ("train-mapper-", "checkpoints/mapper/manifest.json", lambda m: _without(m, "config")),
+    ("train-mapper-", "checkpoints/mapper/manifest.json",
+     lambda m: dict(m, config=dict(m["config"], typo=1))),
+    ("train-mapper-", "checkpoints/mapper/manifest.json",
+     lambda m: dict(m, config=dict(m["config"], prefix_length=0))),
+    ("train-mapper-", "checkpoints/mapper/manifest.json", lambda m: [m]),
+    ("train-mapper-", "checkpoints/mapper/tensors.json", lambda index: {"tensors": index}),
+    ("train-mapper-", "checkpoints/mapper/tensors.json",
+     lambda index: [_without(e, "offset") for e in index]),
+    ("base-lm-", "checkpoints/lm/vocab.json", lambda itos: {}),
+    ("base-lm-", "checkpoints/lm/vocab.json", lambda itos: itos[:-1] + ["<pad>"]),
+    ("base-lm-", "checkpoints/lm/vocab.json", lambda itos: itos[:-1] + [itos[-2]]),
+    ("train-mapper-", "manifest.json", lambda m: [m]),
+], ids=["manifest-no-config", "manifest-unknown-key", "manifest-bad-value", "manifest-list",
+        "index-object", "index-no-offset", "vocab-object", "vocab-repeats-pad",
+        "vocab-repeats-word", "run-manifest-list"])
+def test_json_of_the_wrong_shape_exits_2(workspace, capsys, run_prefix, name, damage):
+    config_path, cfg, images = workspace
+    (run_dir,) = run_dirs(cfg, run_prefix)
+    path = run_dir / name
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    exits_2_naming(path, capsys, config_path, "generate", "--style", "plain",
+                   "--images", str(images))
+
+
+@pytest.mark.parametrize("layout", ["missing", "only-a-directory-named-pgm"])
+def test_bad_images_path_exits_2(workspace, tmp_path, capsys, layout):
+    config_path, _, _ = workspace
+    images = tmp_path / "images"
+    if layout != "missing":
+        (images / "x.pgm").mkdir(parents=True)
+    err = exits_2_naming(images, capsys, config_path, "generate", "--style", "plain",
+                         "--images", str(images))
+    assert ("not found" if layout == "missing" else "no images found") in err
+
+
+def test_book_that_is_a_directory_exits_2(tmp_path, capsys):
+    config_path, _ = build_workspace(tmp_path)
+    book = tmp_path / "books" / "Shelf.txt"
+    book.mkdir()
+    exits_2_naming(book, capsys, config_path, "build-corpus")
+
+
 def test_bad_records_line_exits_2(workspace, tmp_path, capsys):
     config_path, _, _ = workspace
     records = tmp_path / "records.jsonl"
