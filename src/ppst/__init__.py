@@ -21,8 +21,7 @@ from .errors import (CompatibilityError, ConfigurationError, InputError, PpstErr
                      ProtocolError, ScorerUnavailable, TrainingDiverged)
 from .generation import DecodeConfig, GenerationRecord, generate
 from .lm import CausalTransformerLM, LmConfig, perplexity
-from .mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, VisualPrefix,
-                     train_mapper)
+from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from .metrics import (MetricReport, ScorerItem, ScorerRequest, ScorerResponse,
                       chrf_pp, clip_score, evaluate_run, external_score, rouge_l)
 from .tokenizer import WordTokenizer

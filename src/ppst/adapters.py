@@ -169,13 +169,9 @@ class StyledLanguageModel:
     def context_limit(self):
         return self.base_lm.config.max_seq_len
 
-    def detach(self):
-        """Plain view of the same base LM (exact base behavior)."""
-        return StyledLanguageModel(self.base_lm, None, "plain")
-
     def _anchor(self, prefix_matrix):
         """The visual prefix, or without one the bos embedding (how text-only
-        training sequences start)."""
+        training sequences start). The one check of a prefix's shape and values."""
         if prefix_matrix is None:
             return self.base_lm.embed_tokens([self.base_lm.tokenizer.bos_id])
         prefix_matrix = np.asarray(prefix_matrix, dtype=np.float64)
@@ -183,6 +179,8 @@ class StyledLanguageModel:
                 or prefix_matrix.shape[1] != self.embed_dim):
             raise ConfigurationError(
                 f"prefix shape {prefix_matrix.shape} is not (rows >= 1, {self.embed_dim})")
+        if not np.isfinite(prefix_matrix).all():
+            raise ConfigurationError("prefix contains non-finite entries")
         return prefix_matrix
 
     def next_token_logits(self, prefix_matrix, token_ids):
@@ -203,9 +201,15 @@ class StyledLanguageModel:
                                                     self.adapters)
         return logits[:, -1], self.base_lm.past_kv(cache)
 
-    def step(self, token_ids, past):
-        """Append token_ids[i] to row i of `past` (one row per beam): returns
-        (logits (beams, vocab) for each row's next token, the extended past)."""
+    def step(self, token_ids, past, parents):
+        """Append token_ids[i] to row parents[i] of `past` (one row per beam):
+        returns (logits (beams, vocab) for each new row's next token, the new
+        past). The past is one (k, v) per layer, each (beams, H, positions, dh).
+
+        `past` is reordered in place, so the caller's copy does not outlive
+        the reorder and its memory is reused."""
+        for i, (k, v) in enumerate(past):
+            past[i] = (np.take(k, parents, axis=0), np.take(v, parents, axis=0))
         embeds = self.base_lm.embed_tokens(token_ids)[:, None, :]
         logits, cache = self.base_lm.forward_embeds(embeds, self.adapters, past)
         return logits[:, -1], self.base_lm.past_kv(cache)
@@ -250,10 +254,6 @@ class AdapterTrainConfig:
             raise ConfigurationError("learning rate must be positive")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError("val_fraction must be in [0, 1)")
-
-
-def _token_lists(passages, tokenizer):
-    return [tokenizer.encode(p.text) for p in passages]
 
 
 def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
@@ -316,7 +316,7 @@ def train_adapter(passages, base_lm, cfg: AdapterTrainConfig, style=None,
                 "in its first three genres")
 
     adapter_set = StyleAdapterSet.create(style, base_lm, adapter_config, seed=cfg.seed)
-    token_lists = _token_lists(passages, base_lm.tokenizer)
+    token_lists = [base_lm.tokenizer.encode(p.text) for p in passages]
     with nn.freeze_params(base_lm.params()):
         loss_log = _train_text_model(token_lists, base_lm, adapter_set.params(),
                                      adapter_set.blocks, cfg, f"adapter[{style}]")
@@ -333,19 +333,15 @@ def train_full_finetune(passages, base_lm, cfg: AdapterTrainConfig):
         raise ConfigurationError("train_full_finetune requires a non-empty passage set")
     tuned = base_lm.clone()
     tuned.lm_id = f"{base_lm.lm_id}+book-finetune"
-    token_lists = _token_lists(passages, tuned.tokenizer)
-    if cfg.max_epochs == 0:
-        return tuned, []
-    loss_log = _train_text_model(token_lists, tuned, tuned.params(), None, cfg,
-                                 "full-finetune")
-    return tuned, loss_log
+    return tuned, train_on_texts([p.text for p in passages], tuned, cfg, "full-finetune")
 
 
 def train_on_texts(texts, lm, cfg: AdapterTrainConfig, label="text-corpus"):
     """Causal-LM training of every parameter of `lm` on raw texts, in place.
 
-    Used to give a fresh toy LM its base language knowledge (e.g. caption
-    text) before mapper or adapter training.
+    Gives a fresh toy LM its base language knowledge (passage and caption
+    text) before mapper or adapter training; `train_full_finetune` runs it
+    on a clone.
     """
     token_lists = [lm.tokenizer.encode(t) for t in texts]
     return _train_text_model(token_lists, lm, lm.params(), None, cfg, label)

@@ -279,7 +279,8 @@ def ensure_base_lm(cfg, force=False):
                 train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"],
                                    max_epochs=section["pretrain_epochs"], val_fraction=0.0)
                 if passages:
-                    lm, _ = train_full_finetune(passages, lm, train_cfg)
+                    train_on_texts([p.text for p in passages], lm, train_cfg,
+                                   "base-lm passages")
                 if captions:
                     train_on_texts([c.caption_text for c in captions], lm, train_cfg,
                                    "base-lm captions")
@@ -326,11 +327,15 @@ def cmd_train_mapper(cfg, force=False):
           f"after {len(loss_log)} epochs")
 
 
-def cmd_train_adapter(cfg, style, force=False):
-    section = cfg["adapters"]
-    known = section["styles"] + ["non-styled"]
+def _check_style(cfg, style, *more):
+    known = cfg["adapters"]["styles"] + ["non-styled", *more]
     if style not in known:
         raise InputError(f"unknown style {style!r}; configured: {known}", ref=style)
+
+
+def cmd_train_adapter(cfg, style, force=False):
+    _check_style(cfg, style)
+    section = cfg["adapters"]
     passages, _ = _read_corpus(cfg)
     if style != "non-styled":
         passages = corpus_mod.filter_by_style(passages, style)
@@ -392,6 +397,7 @@ def _list_images(images):
 
 
 def cmd_generate(cfg, images, style, force=False):
+    _check_style(cfg, style, "plain")
     decode_cfg = _build(DecodeConfig, cfg["decode"], seed=cfg["seed"])
     image_files = _list_images(images)
     image_fp = fingerprint_json([fingerprint_file(f) for f in image_files])

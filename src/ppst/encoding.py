@@ -119,9 +119,9 @@ def _parse_netpbm(data):
         if len(values) < count:
             raise ValueError("truncated pixel data")
         pixels = np.array([int(v) for v in values[:count]], dtype=np.int32)
-        if pixels.min() < 0 or pixels.max() > maxval:
-            raise ValueError("pixel out of range")
-        pixels = pixels.astype(np.uint8)
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise ValueError("pixel out of range")
+    pixels = pixels.astype(np.uint8, copy=False)
     return pixels.reshape((height, width) if channels == 1 else (height, width, 3))
 
 

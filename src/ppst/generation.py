@@ -28,9 +28,10 @@ vector. A step is one processor pass over (beams, vocab) logits, and one
 stable argsort of the flattened scores ranks the candidates: flat index
 beam * vocab + token, so ties go to the lower beam, then the lower token.
 
-Decoding is incremental for models with the step API (`prefill`, `step`;
-see StyledLanguageModel). Their past is one (k, v) pair per layer, each
-(beams, heads, positions, head dim), with row i for live beam i.
+The model is driven through its step API only (see StyledLanguageModel):
+`prefill(prefix)` runs the anchor once, then each step calls
+`step(newest tokens, past, parents)` with the parent beam of every live
+row. The past is opaque here: the model reorders and extends it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigurationError
-from .mapper import VisualPrefix
 
 NEG_INF = -np.inf
 
@@ -181,9 +181,7 @@ def top_k_filter(logits, k):
     if k >= logits.shape[-1]:
         return logits
     keep = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
-    out = np.full_like(logits, NEG_INF)
-    np.put_along_axis(out, keep, np.take_along_axis(logits, keep, axis=-1), axis=-1)
-    return out
+    return np.where(_token_mask(logits.shape, keep), logits, NEG_INF)
 
 
 def _log_softmax(x):
@@ -228,32 +226,22 @@ def step_log_probs(raw_logits, token_ids, cfg, eos_id):
 def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord:
     """Beam-search a story from a visual prefix through a (styled) LM.
 
-    `prefix` is a VisualPrefix, a raw (length >= 1, embed_dim) matrix, or None
-    for bos-anchored text-only generation. The model needs `eos_id`, `decode`
-    and either the step API or `next_token_logits`; see StyledLanguageModel.
+    `prefix` is a (rows >= 1, embed_dim) matrix, or None for bos-anchored
+    text-only generation; the model checks it. The model needs `prefill`,
+    `step`, `eos_id`, `context_limit`, `style`, `manifest` and `decode`; see
+    StyledLanguageModel.
     """
     started = time.perf_counter()
-    prefix_matrix = prefix.matrix if isinstance(prefix, VisualPrefix) else prefix
-    prefix_rows = 1
-    if prefix_matrix is not None:
-        prefix_matrix = np.asarray(prefix_matrix, dtype=np.float64)
-        embed_dim = getattr(model, "embed_dim", None)
-        if (prefix_matrix.ndim != 2 or prefix_matrix.shape[0] == 0
-                or embed_dim not in (None, prefix_matrix.shape[1])):
-            raise ConfigurationError(
-                f"prefix shape {prefix_matrix.shape} is not "
-                f"(rows >= 1, {embed_dim or 'embed_dim'})")
-        prefix_rows = prefix_matrix.shape[0]
-
+    raw, past = model.prefill(prefix)          # the anchor runs once
     run_warnings = []
     max_length = cfg.resolved_max_length
     if max_length < cfg.min_length:
         run_warnings.append(
             f"max_length {max_length} < min_length {cfg.min_length}: "
             "sequences may finish short")
-    context_limit = getattr(model, "context_limit", None)
-    if context_limit is not None and prefix_rows + max_length > context_limit:
-        max_length = context_limit - prefix_rows
+    prefix_rows = 1 if prefix is None else len(prefix)
+    if prefix_rows + max_length > model.context_limit:
+        max_length = model.context_limit - prefix_rows
         run_warnings.append(f"max_length clipped to {max_length} by model context")
     if max_length < 1:
         raise ConfigurationError("no room to generate any token")
@@ -261,19 +249,11 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
     eos_id = model.eos_id
     ids = np.zeros((1, 0), dtype=np.intp)     # live beams' tokens, one row each
     scores = np.zeros(1)
-    past = parents = None
     finished = []                              # (token ids, score)
 
     for step in range(max_length):
-        if not hasattr(model, "prefill"):      # stateless: re-run each live beam
-            raw = np.stack([model.next_token_logits(prefix_matrix, row)
-                            for row in ids.tolist()])
-        elif past is None:                     # the anchor runs once
-            raw, past = model.prefill(prefix_matrix)
-        else:                                  # each beam's newest token, one batch
-            past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
-                    for k, v in past]
-            raw, past = model.step(ids[:, -1], past)
+        if step:                               # each beam's newest token, one batch
+            raw, past = model.step(ids[:, -1], past, parents)
         log_probs, relaxed = step_log_probs(raw, ids, cfg, eos_id)
         run_warnings += [f"n-gram block lifted at step {step}"] * relaxed
         flat = (scores[:, None] + log_probs).ravel()
@@ -297,14 +277,14 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
     token_ids, score = min(pool, key=lambda b: (-b[1], len(b[0]), b[0]))
     record = GenerationRecord(
         image_ref=str(image_ref),
-        style=getattr(model, "style", "plain"),
+        style=model.style,
         story_text=model.decode(list(token_ids)),
         token_ids=token_ids,
         token_count=len(token_ids) - bool(finished),
         cumulative_log_prob=score,
         finished=bool(finished),
         config=cfg.to_dict(),
-        model_manifest=getattr(model, "manifest", dict)(),
+        model_manifest=model.manifest(),
         wall_time_s=time.perf_counter() - started,
         warnings=run_warnings,
     )

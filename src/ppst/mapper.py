@@ -51,22 +51,6 @@ class MapperTrainConfig:
             raise ConfigurationError("learning rate must be positive")
 
 
-@dataclass
-class VisualPrefix:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise ConfigurationError("prefix must be a 2-D matrix")
-        if not np.isfinite(self.matrix).all():
-            raise ConfigurationError("prefix contains non-finite entries")
-
-    @property
-    def length(self):
-        return self.matrix.shape[0]
-
-
 class PrefixMapper:
     def __init__(self, config: MapperConfig, seed=0):
         self.config = config
@@ -96,12 +80,13 @@ class PrefixMapper:
         dh = self.act_bwd(da, ca)
         return self.fc1.backward(dh, c1)
 
-    def map_prefix(self, embedding: VisualEmbedding) -> VisualPrefix:
+    def map_prefix(self, embedding: VisualEmbedding) -> np.ndarray:
+        """The (prefix_length, lm_embed_dim) prefix of one embedding."""
         if embedding.dim != self.config.input_dim:
             raise ConfigurationError(
                 f"embedding dim {embedding.dim} != mapper input_dim {self.config.input_dim}")
         prefix, _ = self.forward_batch(embedding.vector[None, :])
-        return VisualPrefix(matrix=prefix[0])
+        return prefix[0]
 
     def save(self, directory, extra_manifest=None):
         return save_checkpoint(directory, "prefix_mapper", self.params(), {

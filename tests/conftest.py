@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,27 @@ def grad_close(fd, analytic, rel_tol=1e-4, abs_tol=1e-7):
     return abs(fd - analytic) <= rel_tol * max(abs(fd), abs(analytic)) + abs_tol
 
 
-class RandomTableLM:
+class StatelessLM:
+    """The step API over `next_token_logits(prefix, token_ids)`: every step
+    re-runs each live beam in full, and the past holds each beam's token ids.
+    The reference decode path for toy models and the KV-cache parity tests."""
+
+    style = "plain"
+    context_limit = math.inf
+
+    def manifest(self):
+        return {}
+
+    def prefill(self, prefix):
+        return self.next_token_logits(prefix, [])[None], (prefix, [[]])
+
+    def step(self, token_ids, past, parents):
+        prefix, rows = past
+        rows = [rows[p] + [int(t)] for p, t in zip(parents, token_ids)]
+        return np.stack([self.next_token_logits(prefix, r) for r in rows]), (prefix, rows)
+
+
+class RandomTableLM(StatelessLM):
     """Deterministic toy model: next-token logits depend on (position, last token)."""
 
     def __init__(self, vocab, max_len, rng, spread=1.0, eos_id=0):

@@ -73,12 +73,14 @@ def test_attach_detach_restores_plain_logits(tiny_lm):
     adapter_set = StyleAdapterSet.create("romance", tiny_lm, seed=1)
     for p in adapter_set.params().values():    # make the adapters non-trivial
         p.value[...] = np.random.default_rng(4).standard_normal(p.value.shape) * 0.1
+    prompts = random_prompts(tiny_lm, 20, np.random.default_rng(5))
+    before = [StyledLanguageModel(tiny_lm, None, "plain").next_token_logits(None, ids)
+              for ids in prompts]
     styled = attach(tiny_lm, adapter_set)
-    plain = StyledLanguageModel(tiny_lm, None, "plain")
-    rng = np.random.default_rng(5)
-    for ids in random_prompts(tiny_lm, 20, rng):
-        after = styled.detach().next_token_logits(None, ids)
-        assert np.array_equal(after, plain.next_token_logits(None, ids))
+    detached = StyledLanguageModel(styled.base_lm, None, "plain")
+    for ids, want in zip(prompts, before):
+        assert not np.array_equal(styled.next_token_logits(None, ids), want)
+        assert np.array_equal(detached.next_token_logits(None, ids), want)
 
 
 def test_zero_init_set_equals_plain_lm(tiny_lm):

@@ -346,10 +346,34 @@ def test_non_styled_routes_to_finetuned_model(trained):
     assert manifest["model"]["style"] == "non-styled"
 
 
-def test_generate_missing_adapter_exit_2(trained, tmp_path):
-    tmp, config_path, _ = trained
+def test_generate_missing_adapter_exit_2(trained, tmp_path, capsys):
+    tmp, _, cfg = trained
+    cfg = json.loads(json.dumps(cfg))      # "teen" configured, its adapter never trained
+    cfg["adapters"]["styles"].append("teen")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
     assert main(["--config", str(config_path), "generate", "--style", "teen",
                  "--images", str(tmp / "images")]) == 2
+    assert "ppst train-adapter --style teen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("style", ["horror", "a/../../../x"])
+def test_generate_unknown_style_exits_2_before_loading(trained, monkeypatch, capsys,
+                                                       style):
+    from ppst import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the base LM was loaded for an unknown style")
+
+    monkeypatch.setattr(cli, "ensure_base_lm", never)
+    tmp, config_path, cfg = trained
+    before = sorted(p.name for p in Path(cfg["artifacts_dir"]).iterdir())
+    assert main(["--config", str(config_path), "generate", "--style", style,
+                 "--images", str(tmp / "images")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown style {style!r}" in err
+    assert "['romance', 'action', 'non-styled', 'plain']" in err
+    assert sorted(p.name for p in Path(cfg["artifacts_dir"]).iterdir()) == before
 
 
 def test_evaluate_identity_records_score_100(trained, tmp_path, capsys):

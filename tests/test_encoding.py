@@ -122,6 +122,19 @@ def test_16_bit_netpbm_rejected(tmp_path, name, data):
     assert str(path) in str(err.value) and err.value.ref == str(path)
 
 
+@pytest.mark.parametrize("name, data", [
+    ("ascii.pgm", b"P2 2 1 15\n200 3\n"),
+    ("binary.pgm", b"P5 2 1 15\n" + bytes([200, 3])),
+    ("binary.ppm", b"P6 1 1 15\n" + bytes([3, 16, 3])),
+], ids=["P2", "P5", "P6"])
+def test_netpbm_sample_above_maxval_rejected(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(InputError, match="pixel out of range") as err:
+        load_raster(path)
+    assert str(path) in str(err.value) and err.value.ref == str(path)
+
+
 # ---------------------------------------------------------------------------
 # embedding cache
 

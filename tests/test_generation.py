@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RandomTableLM
+from conftest import RandomTableLM, StatelessLM
 from decode_oracle import exhaustive_best, greedy_rollout, oracle_step_logprobs
 from ppst.adapters import StyledLanguageModel
 from ppst.errors import ConfigurationError
@@ -254,7 +254,7 @@ def test_no_finished_sequence_below_min_length():
 
 
 def test_ngram_saturation_lifts_block_with_warning():
-    class OneWordLM:
+    class OneWordLM(StatelessLM):
         eos_id = 0
         def next_token_logits(self, prefix, ids):
             return np.array([0.0, 1.0])
@@ -283,12 +283,12 @@ def test_max_length_below_min_length_warns_and_returns_unfinished():
 
 def test_prefix_dimension_mismatch(tiny_lm):
     model = StyledLanguageModel(tiny_lm, None, "plain")
-    bad = np.zeros((3, tiny_lm.config.d_model + 1))
-    with pytest.raises(ConfigurationError):
-        generate(bad, model, small_cfg())
-    empty = np.zeros((0, tiny_lm.config.d_model))
-    with pytest.raises(ConfigurationError, match=r"prefix shape \(0, 8\)"):
-        generate(empty, model, small_cfg())
+    for prefix, message in [(np.zeros((3, 9)), r"prefix shape \(3, 9\)"),
+                            (np.zeros((0, 8)), r"prefix shape \(0, 8\)"),
+                            (np.array([1.0, 2.0]), r"prefix shape \(2,\)"),
+                            (np.array([[np.inf] + [0.0] * 7]), "non-finite")]:
+        with pytest.raises(ConfigurationError, match=message):
+            generate(prefix, model, small_cfg())
 
 
 def test_context_limit_clips_max_length(tiny_lm):

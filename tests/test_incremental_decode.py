@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_tiny_lm
+from conftest import StatelessLM, make_tiny_lm
 from ppst.adapters import StyleAdapterSet, StyledLanguageModel, attach
 from ppst.errors import ConfigurationError
 from ppst.generation import DecodeConfig, generate
@@ -42,16 +42,14 @@ def make_prefix(model, with_prefix, rows=4):
     return np.random.default_rng(7).standard_normal((rows, model.embed_dim))
 
 
-class FullReforward:
-    """The same model without the step API, so `generate` re-runs it per beam."""
+class FullReforward(StatelessLM):
+    """The same model through the stateless step API: `generate` re-runs it
+    per beam, and its records carry the model's style and manifest."""
 
     def __init__(self, model):
-        self.model = model
-
-    def __getattr__(self, name):
-        if name in ("prefill", "step"):
-            raise AttributeError(name)
-        return getattr(self.model, name)
+        self.next_token_logits, self.decode = model.next_token_logits, model.decode
+        self.manifest, self.style = model.manifest, model.style
+        self.eos_id, self.context_limit = model.eos_id, model.context_limit
 
 
 @pytest.mark.parametrize("with_adapters", [False, True])
@@ -68,9 +66,7 @@ def test_incremental_logits_match_full_reforward(with_adapters, with_prefix):
     for parents in PARENTS:
         tokens = [int(t) for t in rng.integers(0, model.vocab_size, size=len(parents))]
         beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
-        past = [(np.take(k, parents, axis=0), np.take(v, parents, axis=0))
-                for k, v in past]
-        logits, past = model.step(tokens, past)
+        logits, past = model.step(tokens, past, parents)
         assert logits.shape == (len(beams), model.vocab_size)
         for row, ids in zip(logits, beams):
             want = model.next_token_logits(prefix, list(ids))

@@ -8,8 +8,8 @@ from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
 from ppst.corpus import ImageCaptionPair
 from ppst.encoding import VisualEmbedding
 from ppst.errors import ConfigurationError
-from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, VisualPrefix,
-                         build_prefix_batch, prefix_batch_loss, train_mapper)
+from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, build_prefix_batch,
+                         prefix_batch_loss, train_mapper)
 from ppst.nn import masked_cross_entropy
 
 
@@ -41,7 +41,7 @@ def test_default_prefix_length_is_10():
     cfg = MapperConfig(input_dim=16, lm_embed_dim=8)
     mapper = PrefixMapper(cfg, seed=0)
     emb = VisualEmbedding(vector=np.ones(16), model_id="m")
-    assert mapper.map_prefix(emb).matrix.shape == (10, 8)
+    assert mapper.map_prefix(emb).shape == (10, 8)
 
 
 def test_zero_input_zero_bias_gives_zero_prefix():
@@ -49,7 +49,7 @@ def test_zero_input_zero_bias_gives_zero_prefix():
     mapper.fc1.b.value[...] = 0.0
     mapper.fc2.b.value[...] = 0.0
     emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
-    assert np.array_equal(mapper.map_prefix(emb).matrix, np.zeros((3, 8)))
+    assert np.array_equal(mapper.map_prefix(emb), np.zeros((3, 8)))
 
 
 def test_dimension_mismatch_rejected():
@@ -64,14 +64,7 @@ def test_row_major_reshape():
     mapper.fc2.w.value[...] = 0.0
     mapper.fc2.b.value[...] = flat
     emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
-    assert np.array_equal(mapper.map_prefix(emb).matrix, flat.reshape(3, 8))
-
-
-def test_visual_prefix_validation():
-    with pytest.raises(ConfigurationError):
-        VisualPrefix(matrix=np.array([1.0, 2.0]))
-    with pytest.raises(ConfigurationError):
-        VisualPrefix(matrix=np.array([[np.inf, 0.0]]))
+    assert np.array_equal(mapper.map_prefix(emb), flat.reshape(3, 8))
 
 
 def test_mapper_gradients_through_frozen_lm():
@@ -185,7 +178,7 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = PrefixMapper.load(tmp_path / "ck")
     assert loaded.config == mapper.config
     emb = VisualEmbedding(vector=np.ones(4), model_id="m")
-    assert np.allclose(loaded.map_prefix(emb).matrix, mapper.map_prefix(emb).matrix,
+    assert np.allclose(loaded.map_prefix(emb), mapper.map_prefix(emb),
                        atol=1e-6)
     from ppst.artifacts import read_manifest
     manifest = read_manifest(tmp_path / "ck")
