@@ -13,8 +13,7 @@ import threading
 from pathlib import Path
 
 from ppst.encoding import HashedNgramEncoder
-from ppst.metrics import (ScorerItem, ScorerRequest, chrf_pp, clip_score,
-                          evaluate_run, external_score, rouge_l, tokenize)
+from ppst.metrics import chrf_pp, clip_score, evaluate_run, external_score, rouge_l, tokenize
 from ppst.synthetic import render_text_image
 
 # 1. the native metrics, straight from the formulas
@@ -48,9 +47,8 @@ server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 endpoint = "%s:%d" % server.server_address
 print(f"stub scorer listening at {endpoint}")
-response = external_score(endpoint, ScorerRequest(
-    "BERTScore", [ScorerItem("demo", cand, [ref])]))
-print(f"  round trip: {response.scores}\n")
+scores = external_score(endpoint, "BERTScore", [("demo", cand, [ref])])
+print(f"  round trip: {scores}\n")
 
 
 # 3. a full report for a tiny run

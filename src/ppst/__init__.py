@@ -22,6 +22,6 @@ from .errors import (CompatibilityError, ConfigurationError, InputError, PpstErr
 from .generation import DecodeConfig, GenerationRecord, generate
 from .lm import CausalTransformerLM, LmConfig, perplexity
 from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
-from .metrics import (MetricReport, ScorerItem, ScorerRequest, ScorerResponse,
-                      chrf_pp, clip_score, evaluate_run, external_score, rouge_l)
+from .metrics import (MetricReport, chrf_pp, clip_score, evaluate_run, external_score,
+                      rouge_l)
 from .tokenizer import WordTokenizer

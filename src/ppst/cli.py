@@ -22,8 +22,9 @@ is given; a downstream stage reads only complete upstream runs. `generate`
 checks that the mapper was trained on the base LM and encoder in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
-corrupt file, a config key not in DEFAULT_CONFIG or of the wrong type, a
-live lock or a mismatched checkpoint; 3 numeric failure.
+corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG or of
+the wrong type, a style that is not a plain name, a live lock or a mismatched
+checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
 
@@ -147,6 +148,10 @@ def _merge(base, override, section=None):
 
 def load_config(path, seed=None):
     cfg = _merge(DEFAULT_CONFIG, read_json(path))
+    for style in cfg["adapters"]["styles"]:     # a style names run dirs: a plain name
+        if style in ("", ".", "..") or {"/", os.sep, os.altsep} & set(style):
+            raise InputError("config key adapters.styles must hold plain names, not "
+                             f"{json.dumps(style)}", ref="adapters.styles")
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -375,15 +380,15 @@ def cmd_train_adapter(cfg, style, force=False):
 # generation and evaluation
 
 
-def _styled_model(cfg, style, lm):
+def _styled_model(cfg, style, lm, adapter_run):
     if style == "plain":
         return StyledLanguageModel(lm, None, "plain")
-    run_dir = _stage(cfg, "train-adapter", style, extra=style).require()
     if style == "non-styled":
+        run_dir = _stage(cfg, "train-adapter", style, extra=style).require()
         return StyledLanguageModel(
             CausalTransformerLM.load(run_dir / "checkpoints" / "lm_finetuned"), None,
             "full_finetune")
-    return attach(lm, StyleAdapterSet.load(run_dir / "checkpoints" / "adapter", lm))
+    return attach(lm, StyleAdapterSet.load(adapter_run / "checkpoints" / "adapter", lm))
 
 
 def _list_images(images):
@@ -406,6 +411,10 @@ def cmd_generate(cfg, images, style, force=False):
         return
 
     mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
+    # an adapter run is found before any model loads; the fine-tune of non-styled
+    # after the mapper check below, whose error comes first
+    adapter_run = (None if style in ("plain", "non-styled")
+                   else _stage(cfg, "train-adapter", style, extra=style).require())
     mapper = PrefixMapper.load(mapper_ckpt)
     encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg, force=False)
@@ -416,7 +425,7 @@ def cmd_generate(cfg, images, style, force=False):
             (lm.fingerprint(), encoder.model_id):
         raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
                                  "base LM or encoder; run `ppst --force train-mapper`")
-    model = _styled_model(cfg, style, lm)
+    model = _styled_model(cfg, style, lm, adapter_run)
 
     n_ok = 0
     with stage.run(image_fp) as (out, manifest):
@@ -521,6 +530,10 @@ def main(argv=None):
         return 3
     except PpstError as exc:
         print(f"ppst {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:          # a failed read or write: a full disk, a bad path
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"ppst {args.command}: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
     print(f"ppst {args.command}: done in {time.perf_counter() - started:.1f}s")
     return 0

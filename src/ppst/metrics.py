@@ -4,9 +4,11 @@ Native metrics: ROUGE-L (LCS F-measure, recall-weighting beta = 1.2),
 ChrF++ (character 1..6-gram plus word 1..2-gram F, beta = 2, averaged over
 orders), and CLIPScore (w * max(cos, 0), w = 2.5). Four model-based text
 metrics (MoverScore, BERTScore, BLEURT, BARTScore) are delegated to an
-out-of-process scorer over a newline-delimited JSON protocol; when the
-endpoint is absent or fails after retries, those columns are reported as
-unavailable, never silently zeroed.
+out-of-process scorer over a newline-delimited JSON protocol:
+`external_score(endpoint, "BLEURT", [(item_id, candidate, references), ...])`
+returns {item_id: score}. When the endpoint is absent, fails after retries, or
+replies with a line that is not UTF-8 JSON or has a non-finite score, those
+columns are reported as unavailable, never silently zeroed.
 
 Text tokenization for ROUGE-L: lowercase, punctuation split into separate
 tokens. ChrF++ is case-sensitive; its character n-grams ignore whitespace.
@@ -17,6 +19,7 @@ scale; external scorers keep their own native scales.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import time
@@ -160,99 +163,59 @@ def clip_score(image_emb, text_emb, w=2.5):
 # external scorer client (newline-delimited JSON over TCP)
 
 
-@dataclass
-class ScorerItem:
-    item_id: str
-    candidate: str
-    references: list
+def external_score(endpoint, metric, items, timeout=10.0, attempts=3, backoff=0.1):
+    """{item_id: score} for `items`, (item_id, candidate, references) triples,
+    from one request/response round trip with exponential-backoff retries.
 
-
-@dataclass
-class ScorerRequest:
-    metric_name: str
-    items: list
-
-    def to_wire(self):
-        return json.dumps({"metric": self.metric_name,
-                           "items": [{"id": i.item_id, "candidate": i.candidate,
-                                      "references": list(i.references)}
-                                     for i in self.items]},
-                          ensure_ascii=False) + "\n"
-
-
-@dataclass
-class ScorerResponse:
-    metric_name: str
-    scores: dict        # item_id -> float
-
-
-def _parse_endpoint(endpoint):
+    Connection failures and timeouts are retried (attempts total); after the
+    final failed attempt raises ScorerUnavailable. A reply line that is not
+    UTF-8 JSON, has a non-finite score or does not score exactly the request
+    ids raises ProtocolError immediately.
+    """
+    if not items:
+        return {}
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ConfigurationError(f"scorer endpoint must be host:port, got {endpoint!r}")
-    return host, int(port)
-
-
-def _excerpt(payload, limit=200):
-    text = payload if isinstance(payload, str) else repr(payload)
-    return text[:limit]
-
-
-def external_score(endpoint, request: ScorerRequest, timeout=10.0, attempts=3,
-                   backoff=0.1) -> ScorerResponse:
-    """One request/response round trip with exponential-backoff retries.
-
-    Connection failures and timeouts are retried (attempts total); a malformed
-    response raises ProtocolError immediately. After the final failed attempt
-    raises ScorerUnavailable.
-    """
-    if not request.items:
-        return ScorerResponse(request.metric_name, {})
-    host, port = _parse_endpoint(endpoint)
-    payload = request.to_wire().encode("utf-8")
+    payload = json.dumps({"metric": metric,
+                          "items": [{"id": i, "candidate": c, "references": list(r)}
+                                    for i, c, r in items]},
+                         ensure_ascii=False) + "\n"
+    try:
+        payload = payload.encode("utf-8")
+    except UnicodeEncodeError as exc:           # a lone surrogate in a story
+        raise ProtocolError(f"scorer request is not UTF-8: {exc}") from None
     last_error = None
     for attempt in range(attempts):
         if attempt:
             time.sleep(backoff * (2 ** (attempt - 1)))
         try:
-            with socket.create_connection((host, port), timeout=timeout) as conn:
-                conn.settimeout(timeout)
+            with socket.create_connection((host, int(port)), timeout=timeout) as conn:
                 conn.sendall(payload)
                 conn.shutdown(socket.SHUT_WR)
-                chunks = []
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-                    if chunk.endswith(b"\n"):
-                        break
-            raw = b"".join(chunks).decode("utf-8")
+                with conn.makefile("rb") as reply:
+                    raw = reply.readline()
         except OSError as exc:
             last_error = exc
             continue
-        return _parse_response(raw, request)
+        return _parse_response(raw, {i for i, _, _ in items})
     raise ScorerUnavailable(
         f"scorer at {endpoint} unreachable after {attempts} attempts: {last_error}")
 
 
-def _parse_response(raw, request: ScorerRequest) -> ScorerResponse:
+def _parse_response(raw, expected_ids):
     try:
-        obj = json.loads(raw.strip().splitlines()[0]) if raw.strip() else None
-    except json.JSONDecodeError:
-        obj = None
-    if not isinstance(obj, dict) or "scores" not in obj:
-        raise ProtocolError(f"malformed scorer response: {_excerpt(raw)}")
-    try:
-        scores = {entry["id"]: float(entry["score"]) for entry in obj["scores"]}
-    except (TypeError, KeyError, ValueError):
-        raise ProtocolError(f"malformed scorer response items: {_excerpt(raw)}")
-    expected = {i.item_id for i in request.items}
-    if set(scores) != expected:
+        scores = {entry["id"]: float(entry["score"]) for entry in json.loads(raw)["scores"]}
+    except (ValueError, TypeError, KeyError):      # UnicodeDecodeError is a ValueError
+        raise ProtocolError(f"malformed scorer response: {raw[:200]!r}") from None
+    bad = sorted(repr(i) for i, score in scores.items() if not math.isfinite(score))
+    if bad:
+        raise ProtocolError(f"scorer response has non-finite scores for {', '.join(bad)[:200]}")
+    if set(scores) != expected_ids:
+        diff = ", ".join(sorted(map(repr, set(scores) ^ expected_ids)))
         raise ProtocolError(
-            f"scorer response ids are not a permutation of the request ids: "
-            f"{_excerpt(sorted(set(scores) ^ expected))}")
-    return ScorerResponse(obj.get("metric", request.metric_name), scores)
+            f"scorer response ids are not a permutation of the request ids: {diff[:200]}")
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +226,15 @@ def _parse_response(raw, request: ScorerRequest) -> ScorerResponse:
 class MetricReport:
     per_item: dict = field(default_factory=dict)   # item_id -> {metric: value}
     item_meta: dict = field(default_factory=dict)  # item_id -> {"image_ref": ...}
-    corpus: dict = field(default_factory=dict)     # metric -> mean over items
     unavailable: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
-    def finalize(self):
-        self.corpus = {}
-        for metric in REPORT_COLUMNS:
-            values = [m[metric] for m in self.per_item.values() if metric in m]
-            if values:
-                self.corpus[metric] = float(np.mean(values))
-        return self
+    @property
+    def corpus(self):
+        """metric -> mean over the items that have it."""
+        values = {m: [row[m] for row in self.per_item.values() if m in row]
+                  for m in REPORT_COLUMNS}
+        return {m: float(np.mean(v)) for m, v in values.items() if v}
 
     def to_jsonl(self):
         lines = []
@@ -298,8 +259,8 @@ class MetricReport:
             metrics = self.per_item[item_id]
             rows.append([item_id] + [f"{metrics[c]:.2f}" if c in metrics else "-"
                                      for c in cols])
-        rows.append(["corpus"] + [f"{self.corpus[c]:.2f}" if c in self.corpus else "-"
-                                  for c in cols])
+        corpus = self.corpus
+        rows.append(["corpus"] + [f"{corpus[c]:.2f}" if c in corpus else "-" for c in cols])
         widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
         fmt = "  ".join("{:>%d}" % w for w in widths)
         out = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]
@@ -353,27 +314,18 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
         report.per_item[item_id] = row
         evaluable.append((item_id, story, refs))
 
-    if not report.per_item:
-        report.unavailable = list(EXTERNAL_METRICS)
-        if encoder is None:
-            report.unavailable.append("CLIPScore")
-        return report.finalize()
-
     if encoder is None:
         report.unavailable.append("CLIPScore")
-
     for metric in EXTERNAL_METRICS:
-        if scorer_endpoint is None:
+        if scorer_endpoint is None or not evaluable:
             report.unavailable.append(metric)
             continue
-        request = ScorerRequest(metric, [ScorerItem(i, c, r) for i, c, r in evaluable])
         try:
-            response = external_score(scorer_endpoint, request, timeout=scorer_timeout)
+            scores = external_score(scorer_endpoint, metric, evaluable, timeout=scorer_timeout)
         except (ScorerUnavailable, ProtocolError) as exc:
             report.unavailable.append(metric)
             report.diagnostics.append({"metric": metric, "unavailable": str(exc)})
             continue
-        for item_id, score in response.scores.items():
+        for item_id, score in scores.items():
             report.per_item[item_id][metric] = score
-
-    return report.finalize()
+    return report

@@ -117,11 +117,14 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
     ({"eval": {"clip_weight": False}}, "config key eval.clip_weight must be int or float"),
     ({"seed": "7"}, "config key seed must be int"),
     ({"decode": {"beam_size": 0}}, "beam_size must be >= 1"),
+    ({"adapters": {"styles": ["/../../x"]}}, "config key adapters.styles must hold plain"),
+    ({"adapters": {"styles": ["romance", ".."]}}, "config key adapters.styles must hold plain"),
+    ({"adapters": {"styles": [""]}}, "config key adapters.styles must hold plain"),
 ], ids=["list", "section-not-object", "decode-typo", "decode-seed", "lm-typo", "top-level",
         "str-for-int", "bool-for-int", "float-for-optional-int", "float-for-int",
         "int-for-str", "str-for-list", "list-of-non-str", "int-for-optional-str",
         "int-for-path", "str-for-float", "bool-for-float", "str-for-seed",
-        "decode-out-of-range"])
+        "decode-out-of-range", "style-path", "style-dotdot", "style-empty"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, user, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(user))
@@ -346,7 +349,13 @@ def test_non_styled_routes_to_finetuned_model(trained):
     assert manifest["model"]["style"] == "non-styled"
 
 
-def test_generate_missing_adapter_exit_2(trained, tmp_path, capsys):
+def test_generate_missing_adapter_exit_2(trained, tmp_path, monkeypatch, capsys):
+    from ppst import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the base LM was loaded for a style without an adapter")
+
+    monkeypatch.setattr(cli, "ensure_base_lm", never)
     tmp, _, cfg = trained
     cfg = json.loads(json.dumps(cfg))      # "teen" configured, its adapter never trained
     cfg["adapters"]["styles"].append("teen")

@@ -9,9 +9,9 @@ import pytest
 
 from ppst.encoding import TextEmbedding, VisualEmbedding
 from ppst.errors import ConfigurationError, ProtocolError, ScorerUnavailable
-from ppst.metrics import (EXTERNAL_METRICS, REPORT_COLUMNS, MetricReport, ScorerItem,
-                          ScorerRequest, chrf_pp, clip_score, evaluate_run,
-                          external_score, lcs_length, rouge_l, tokenize)
+from ppst.metrics import (EXTERNAL_METRICS, REPORT_COLUMNS, MetricReport, chrf_pp,
+                          clip_score, evaluate_run, external_score, lcs_length, rouge_l,
+                          tokenize)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -197,17 +197,23 @@ def test_clip_score_model_mismatch():
 
 
 class StubScorer:
-    """Line-delimited JSON scorer over TCP for tests."""
+    """Line-delimited JSON scorer over TCP for tests.
 
-    def __init__(self, score=0.5, drop_first_id=False, garbage=False, port=0):
+    Keeps each raw request line it received in `requests`; answers with the
+    fixed line `reply` when one is given.
+    """
+
+    def __init__(self, score=0.5, drop_first_id=False, reply=None, port=0):
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                request = json.loads(self.rfile.readline().decode())
-                if outer.garbage:
-                    self.wfile.write(b"not json at all\n")
+                line = self.rfile.readline()
+                outer.requests.append(line)
+                if outer.reply is not None:
+                    self.wfile.write(outer.reply)
                     return
+                request = json.loads(line.decode())
                 scores = [{"id": item["id"], "score": outer.score}
                           for item in request["items"]]
                 if outer.drop_first_id and scores:
@@ -217,7 +223,8 @@ class StubScorer:
 
         self.score = score
         self.drop_first_id = drop_first_id
-        self.garbage = garbage
+        self.reply = reply
+        self.requests = []
         socketserver.ThreadingTCPServer.allow_reuse_address = True
         self.server = socketserver.ThreadingTCPServer(("127.0.0.1", port), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
@@ -241,41 +248,57 @@ def stub_scorer():
 
 
 def test_external_score_round_trip(stub_scorer):
-    request = ScorerRequest("BERTScore", [ScorerItem("i0", "cand", ["ref"]),
-                                          ScorerItem("i1", "cand2", ["ref2"])])
-    response = external_score(stub_scorer.endpoint, request)
-    assert response.scores == {"i0": 0.5, "i1": 0.5}
+    scores = external_score(stub_scorer.endpoint, "BERTScore",
+                            [("i0", "cand", ["ref"]), ("i1", "cand2", ["ref2"])])
+    assert scores == {"i0": 0.5, "i1": 0.5}
+
+
+def test_external_score_request_bytes_are_pinned(stub_scorer):
+    """The request line is UTF-8 JSON, non-ASCII text unescaped, keys in order."""
+    external_score(stub_scorer.endpoint, "BERTScore",
+                   [("i0", "Der Bär schläft — 夢", ("naïve café", "x")),
+                    ("i1", 'c"q\\n', [])])
+    assert stub_scorer.requests == [
+        b'{"metric": "BERTScore", "items": [{"id": "i0", "candidate": '
+        b'"Der B\xc3\xa4r schl\xc3\xa4ft \xe2\x80\x94 \xe5\xa4\xa2", "references": '
+        b'["na\xc3\xafve caf\xc3\xa9", "x"]}, {"id": "i1", "candidate": "c\\"q\\\\n", '
+        b'"references": []}]}\n']
 
 
 def test_external_score_empty_items():
-    response = external_score("127.0.0.1:1", ScorerRequest("BLEURT", []))
-    assert response.scores == {}
+    assert external_score("127.0.0.1:1", "BLEURT", []) == {}
 
 
 def test_external_score_missing_id_is_protocol_error():
     scorer = StubScorer(drop_first_id=True)
     try:
         with pytest.raises(ProtocolError):
-            external_score(scorer.endpoint,
-                           ScorerRequest("BLEURT", [ScorerItem("i0", "c", ["r"])]))
+            external_score(scorer.endpoint, "BLEURT", [("i0", "c", ["r"])])
     finally:
         scorer.close()
 
 
-def test_external_score_garbage_is_protocol_error():
-    scorer = StubScorer(garbage=True)
+BAD_REPLIES = {
+    "not-json": b"not json at all\n",
+    "not-utf8": b'{"metric": "BLEURT", "scores": [{"id": "i0", "score": 0.5}]}\xff\n',
+    "nan-score": b'{"metric": "BLEURT", "scores": [{"id": "i0", "score": NaN}]}\n',
+    "infinite-score": b'{"metric": "BLEURT", "scores": [{"id": "i0", "score": Infinity}]}\n',
+}
+
+
+@pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
+def test_external_score_garbage_is_protocol_error(reply):
+    scorer = StubScorer(reply=reply)
     try:
         with pytest.raises(ProtocolError):
-            external_score(scorer.endpoint,
-                           ScorerRequest("BLEURT", [ScorerItem("i0", "c", ["r"])]))
+            external_score(scorer.endpoint, "BLEURT", [("i0", "c", ["r"])])
     finally:
         scorer.close()
 
 
 def test_external_score_unreachable_retries_then_raises():
     with pytest.raises(ScorerUnavailable, match="3 attempts"):
-        external_score("127.0.0.1:9", ScorerRequest("BLEURT",
-                                                    [ScorerItem("i0", "c", ["r"])]),
+        external_score("127.0.0.1:9", "BLEURT", [("i0", "c", ["r"])],
                        timeout=0.2, attempts=3, backoff=0.01)
 
 
@@ -294,10 +317,9 @@ def test_external_score_recovers_after_transient_refusal():
     timer = threading.Timer(0.25, bring_up)
     timer.start()
     try:
-        response = external_score(f"127.0.0.1:{port}",
-                                  ScorerRequest("BLEURT", [ScorerItem("i0", "c", ["r"])]),
-                                  timeout=1.0, attempts=5, backoff=0.2)
-        assert response.scores == {"i0": 0.25}
+        scores = external_score(f"127.0.0.1:{port}", "BLEURT", [("i0", "c", ["r"])],
+                                timeout=1.0, attempts=5, backoff=0.2)
+        assert scores == {"i0": 0.25}
     finally:
         timer.join()
         if "scorer" in holder:
@@ -386,6 +408,30 @@ def test_scorer_failure_marks_metric_unavailable_not_zero():
     assert all(m not in report.per_item["item00000"] for m in EXTERNAL_METRICS)
 
 
+@pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
+def test_bad_scorer_reply_marks_metric_unavailable(reply):
+    scorer = StubScorer(reply=reply)
+    try:
+        report = evaluate_run([Row("img0", "a cat")], {"img0": ["a cat"]},
+                              scorer_endpoint=scorer.endpoint)
+    finally:
+        scorer.close()
+    assert set(EXTERNAL_METRICS) <= set(report.unavailable)
+    assert {d["metric"] for d in report.diagnostics if "unavailable" in d} == \
+        set(EXTERNAL_METRICS)
+    assert all(m not in report.per_item["item00000"] for m in EXTERNAL_METRICS)
+    assert all(m not in report.corpus for m in EXTERNAL_METRICS)
+    assert "NaN" not in report.to_jsonl() and "Infinity" not in report.to_jsonl()
+
+
+def test_story_that_is_not_utf8_marks_metric_unavailable(stub_scorer):
+    report = evaluate_run([Row("img0", "a \ud800 cat")], {"img0": ["a cat"]},
+                          scorer_endpoint=stub_scorer.endpoint)
+    assert set(EXTERNAL_METRICS) <= set(report.unavailable)
+    assert stub_scorer.requests == []
+    assert all(m not in report.per_item["item00000"] for m in EXTERNAL_METRICS)
+
+
 def test_clip_score_included_with_encoder(tmp_path):
     from ppst.encoding import HashedNgramEncoder
     from ppst.synthetic import render_text_image
@@ -416,7 +462,7 @@ def test_clip_truncation_is_recorded(tmp_path):
 def test_report_serializations(tmp_path):
     report = MetricReport(per_item={"item00000": {"ROUGE-L": 50.0, "ChrF++": 40.0}},
                           item_meta={"item00000": {"image_ref": "img0"}},
-                          unavailable=["BLEURT"]).finalize()
+                          unavailable=["BLEURT"])
     lines = report.to_jsonl().strip().split("\n")
     kinds = [json.loads(l)["kind"] for l in lines]
     assert kinds == ["item", "corpus"]

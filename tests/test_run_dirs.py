@@ -295,6 +295,15 @@ def test_book_that_is_a_directory_exits_2(tmp_path, capsys):
     exits_2_naming(book, capsys, config_path, "build-corpus")
 
 
+def test_artifacts_dir_under_a_file_exits_2(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg["artifacts_dir"] = str(blocker / "runs")
+    config_path.write_text(json.dumps(cfg))
+    exits_2_naming(blocker / "runs", capsys, config_path, "build-corpus")
+
+
 def test_bad_records_line_exits_2(workspace, tmp_path, capsys):
     config_path, _, _ = workspace
     records = tmp_path / "records.jsonl"
