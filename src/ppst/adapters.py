@@ -279,9 +279,11 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
             optimizer.zero_grad()
             logits, cache = lm.forward_tokens(inputs, adapters)
             loss, dlogits = masked_cross_entropy(logits, targets, mask)
+            del logits
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"{label}: non-finite loss at epoch {epoch}")
             lm.backward_tokens(dlogits, cache, adapters)
+            del cache, dlogits    # so no two batches' caches are ever alive at once
             optimizer.step()
             epoch_losses.append(loss)
         entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}

@@ -201,8 +201,7 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         chunk = token_lists[start: start + batch_size]
         inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer,
                                                      lm.config.max_seq_len)
-        logits, _ = lm.forward_tokens(inputs, adapters)
-        logp = nn.log_softmax(logits)
+        logp = nn.log_softmax(lm.forward_tokens(inputs, adapters)[0])
         nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())

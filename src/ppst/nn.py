@@ -3,9 +3,14 @@
 Every layer exposes ``forward(x) -> (y, cache)`` and ``backward(dy, cache) -> dx``;
 ``backward`` accumulates into the ``grad`` of every param that has a gradient. A
 param frozen by ``freeze_params`` has none (``grad`` is None), so backward skips
-its products and only carries ``dx`` through. Caches are passed
-explicitly so forward-only inference is stateless and safe to run concurrently.
-All math runs in float64; checkpoints store float32 (see artifacts.py).
+its products and only carries ``dx`` through. Caches are passed explicitly so
+forward-only inference is stateless and safe to run concurrently. A cache holds
+only what backward reads: a Linear's input, LayerNorm's (xhat, 1/std), an
+activation's output (tanh), input (relu) or slope (gelu), and attention's q, k,
+v and weights. Layers and ``Adam.step`` work in place on their own arrays, never
+on an input or a cache, in the operation order of the textbook expressions, so
+results are bit-equal to those (pinned in tests/test_nn.py). All math runs in
+float64; checkpoints store float32 (see artifacts.py).
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ def fan_in_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _mean(x):
+    """`x.mean(axis=-1, keepdims=True)` bit for bit, without np.mean's Python layer."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -63,14 +75,22 @@ def _relu_bwd(dy, x):
 
 
 def _gelu_fwd(x):
-    y = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-    return y, x
+    """x * cdf(x), caching the slope cdf(x) + x * pdf(x) for backward."""
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    slope = np.multiply(x, -0.5)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope /= math.sqrt(2.0 * math.pi)
+    slope *= x
+    slope += cdf
+    return np.multiply(x, cdf, out=cdf), slope
 
 
-def _gelu_bwd(dy, x):
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return dy * (cdf + x * pdf)
+def _gelu_bwd(dy, slope):
+    return dy * slope
 
 
 ACTIVATIONS = {
@@ -96,7 +116,9 @@ class Linear:
         self.b = Param(np.zeros(d_out))
 
     def forward(self, x):
-        return x @ self.w.value + self.b.value, x
+        y = x @ self.w.value
+        y += self.b.value
+        return y, x
 
     def backward(self, dy, x):
         d_in, d_out = self.w.value.shape
@@ -117,24 +139,28 @@ class LayerNorm:
         self.eps = eps
 
     def forward(self, x):
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = xc * inv
-        y = xhat * self.gain.value + self.bias.value
+        xhat = x - _mean(x)
+        y = np.multiply(xhat, xhat)
+        inv = 1.0 / np.sqrt(_mean(y) + self.eps)
+        xhat *= inv
+        np.multiply(xhat, self.gain.value, out=y)
+        y += self.bias.value
         return y, (xhat, inv)
 
     def backward(self, dy, cache):
         xhat, inv = cache
+        d = xhat.shape[-1]
+        t = np.empty_like(xhat)
         if self.gain.grad is not None:
-            self.gain.grad += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+            self.gain.grad += np.multiply(dy, xhat, out=t).reshape(-1, d).sum(axis=0)
         if self.bias.grad is not None:
-            self.bias.grad += dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-        dxhat = dy * self.gain.value
-        mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+            self.bias.grad += dy.reshape(-1, d).sum(axis=0)
+        dx = dy * self.gain.value
+        mean_dx_xhat = _mean(np.multiply(dx, xhat, out=t))
+        dx -= _mean(dx)
+        dx -= np.multiply(xhat, mean_dx_xhat, out=t)
+        dx *= inv
+        return dx
 
     def params(self, prefix):
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
@@ -151,44 +177,41 @@ class CausalSelfAttention:
         self.qkv = Linear(d_model, 3 * d_model, rng)
         self.proj = Linear(d_model, d_model, rng)
 
-    def _split(self, x):
-        # (B, T, D) -> (B, H, T, dh)
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.n_head, self.d_head).transpose(0, 2, 1, 3)
-
-    def _merge(self, x):
-        b, h, t, dh = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
     def forward(self, x, past=None):
         """`past=(k, v)`, each (B, H, S, dh), puts x at positions S.. (forward
         only); the cache's k and v cover all S + T positions."""
         b, t, d = x.shape
         qkv, qkv_cache = self.qkv.forward(x)
-        q, k, v = (self._split(a) for a in np.split(qkv, 3, axis=-1))
+        q, k, v = qkv.reshape(b, t, 3, self.n_head, self.d_head).transpose(2, 0, 3, 1, 4)
         if past is not None:
             k = np.concatenate([past[0], k], axis=2)
             v = np.concatenate([past[1], v], axis=2)
         s = k.shape[2]
-        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
-        mask = np.triu(np.ones((t, s), dtype=bool), k=s - t + 1)
-        scores[..., mask] = -np.inf
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores)
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn /= math.sqrt(self.d_head)
+        if t > 1:    # one new position sees every earlier one: no mask
+            np.copyto(attn, -np.inf, where=np.triu(np.ones((t, s), dtype=bool), k=s - t + 1))
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = self._merge(attn @ v)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
         y, proj_cache = self.proj.forward(ctx)
         return y, (qkv_cache, q, k, v, attn, proj_cache)
 
     def backward(self, dy, cache):
         qkv_cache, q, k, v, attn, proj_cache = cache
-        dctx = self._split(self.proj.backward(dy, proj_cache))
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = dscores @ k / math.sqrt(self.d_head)
-        dk = dscores.transpose(0, 1, 3, 2) @ q / math.sqrt(self.d_head)
-        dqkv = np.concatenate([self._merge(a) for a in (dq, dk, dv)], axis=-1)
+        b, h, t, dh = q.shape
+        dctx = self.proj.backward(dy, proj_cache).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        dqkv = np.empty((b, t, 3 * h * dh))
+        dq, dk, dv = dqkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        dv[...] = attn.transpose(0, 1, 3, 2) @ dctx
+        dscores = dctx @ v.transpose(0, 1, 3, 2)
+        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores *= attn
+        dq[...] = dscores @ k
+        dq /= math.sqrt(dh)
+        dk[...] = dscores.transpose(0, 1, 3, 2) @ q
+        dk /= math.sqrt(dh)
         return self.qkv.backward(dqkv, qkv_cache)
 
     def params(self, prefix):
@@ -294,7 +317,10 @@ def masked_cross_entropy(logits, targets, mask):
 
 
 class Adam:
-    """Adam with the usual defaults; updates only the params it was given."""
+    """Adam with the usual defaults; updates only the params it was given, in
+    place, over flat blocks of BLOCK elements through two scratch blocks."""
+
+    BLOCK = 32768
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
@@ -303,24 +329,42 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
+        self.m = {k: np.zeros(p.value.shape) for k, p in self.params.items()}
+        self.v = {k: np.zeros(p.value.shape) for k, p in self.params.items()}
+        self.scratch = (np.empty(self.BLOCK), np.empty(self.BLOCK))
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
+        for k, p in self.params.items():    # all checked before any is updated
+            if p.grad is None:
+                raise ConfigurationError(f"Adam: param {k!r} has no gradient (frozen)")
+            if not (p.value.flags.c_contiguous and p.grad.flags.c_contiguous):
+                raise ConfigurationError(f"Adam: param {k!r} is not C-contiguous")
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            flat = [arr.reshape(-1) for arr in (p.value, p.grad, self.m[k], self.v[k])]
+            for start in range(0, p.value.size, self.BLOCK):
+                value, g, m, v = (arr[start: start + self.BLOCK] for arr in flat)
+                a, b = (scratch[: g.size] for scratch in self.scratch)
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=a)
+                a *= g
+                v += a
+                np.divide(m, b1c, out=a)
+                a *= self.lr
+                np.divide(v, b2c, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                value -= a
 
 
 def param_count(params):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
                            train_full_finetune)
 from ppst.corpus import StyledPassage
 from ppst.errors import CompatibilityError, ConfigurationError
+from ppst.lm import CausalTransformerLM
 from ppst.synthetic import make_style_passages
 
 
@@ -245,3 +248,29 @@ def test_early_stopping_respects_patience():
                              val_fraction=0.3, patience=2, learning_rate=0.5)
     _, log = train_adapter(romance, lm, cfg)     # huge lr forces val to stall
     assert len(log) < 10
+
+
+def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
+    """When a batch's forward starts, the previous batch's logits and forward
+    cache are gone, in training and in the validation pass."""
+    forward = CausalTransformerLM.forward_tokens
+    earlier = []
+    forwards = []
+
+    def tracked(self, ids, adapters=None):
+        assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
+        logits, cache = forward(self, ids, adapters)
+        (_, _, head_input), _ = cache
+        earlier[:] = [weakref.ref(logits), weakref.ref(head_input)]
+        forwards.append(len(ids))
+        return logits, cache
+
+    monkeypatch.setattr(CausalTransformerLM, "forward_tokens", tracked)
+    passages = [StyledPassage(text=" ".join(f"w{(i + j) % 8}" for j in range(30)),
+                              word_count=30, genres=["romance"], source_title="x")
+                for i in range(10)]
+    cfg = AdapterTrainConfig(max_epochs=2, batch_size=3, max_seq_len=16,
+                             val_fraction=0.3, patience=5)
+    train_adapter(passages, tiny_lm, cfg, style="romance")
+    train_full_finetune(passages, tiny_lm, cfg)
+    assert len(forwards) == 2 * 2 * (3 + 1)    # two trainers, two epochs, 3 + 1 batches

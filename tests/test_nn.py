@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conftest import central_difference, grad_close
 from ppst import nn
@@ -180,3 +183,147 @@ def test_freeze_params_blocks_writes():
     p.value += 1.0           # writable again afterwards
     assert p.value[0] == 1.0
     assert p.grad is grad    # and its gradient is back
+
+
+def test_adam_rejects_frozen_and_non_contiguous_params():
+    rng = np.random.default_rng(10)
+    live, frozen = nn.Param(rng.standard_normal(4)), nn.Param(rng.standard_normal(4))
+    live.grad += 1.0
+    before = live.value.copy()
+    opt = nn.Adam({"live.w": live, "frozen.w": frozen})
+    with nn.freeze_params({"frozen.w": frozen}):
+        with pytest.raises(ConfigurationError, match="'frozen.w' has no gradient"):
+            opt.step()
+    assert np.array_equal(live.value, before) and opt.t == 0    # nothing was updated
+    strided = nn.Param(rng.standard_normal((3, 4)).T)
+    with pytest.raises(ConfigurationError, match="'strided.w' is not C-contiguous"):
+        nn.Adam({"strided.w": strided}).step()
+    bad_grad = nn.Param(rng.standard_normal((4, 3)))
+    bad_grad.grad = np.zeros((3, 4)).T
+    with pytest.raises(ConfigurationError, match="'bad_grad.w' is not C-contiguous"):
+        nn.Adam({"bad_grad.w": bad_grad}).step()
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pins: the in-place layers against their textbook expressions
+
+
+def test_adam_is_bit_equal_to_textbook_update():
+    rng = np.random.default_rng(11)
+    block = nn.Adam.BLOCK
+    shapes = {"one": (1,), "short": (block - 1,), "long": (block + 1,),
+              "matrix": (129, 512)}      # 2-D, over two blocks
+    params = {k: nn.Param(rng.standard_normal(shape)) for k, shape in shapes.items()}
+    want = {k: p.value.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = nn.Adam(params, lr=lr)
+    for t in range(1, 4):
+        opt.zero_grad()
+        for k, p in params.items():
+            p.grad += rng.standard_normal(p.value.shape)
+            g = p.grad
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            mhat = m[k] / (1.0 - b1 ** t)
+            vhat = v[k] / (1.0 - b2 ** t)
+            want[k] = want[k] - lr * mhat / (np.sqrt(vhat) + eps)
+        opt.step()
+        for k, p in params.items():
+            assert np.array_equal(p.value, want[k]), (k, t)
+            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (k, t)
+
+
+def test_gelu_is_bit_equal_to_textbook():
+    fwd, bwd = nn.get_activation("gelu")
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.standard_normal(500) * 3, [0.0, -0.0, 1e-300, 9.0, -9.0, 40.0]])
+    dy = rng.standard_normal(x.shape)
+    y, cache = fwd(x)
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert np.array_equal(y, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+    assert np.array_equal(bwd(dy, cache), dy * (cdf + x * pdf))
+
+
+def test_layernorm_is_bit_equal_to_textbook():
+    rng = np.random.default_rng(13)
+    layer = nn.LayerNorm(48)
+    layer.gain.value[:] = rng.standard_normal(48)
+    layer.bias.value[:] = rng.standard_normal(48)
+    x = rng.standard_normal((3, 7, 48)) * 2 + 0.5
+    dy = rng.standard_normal(x.shape)
+    y, cache = layer.forward(x)
+    dx = layer.backward(dy, cache)
+
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + layer.eps)
+    xhat = xc * inv
+    assert np.array_equal(y, xhat * layer.gain.value + layer.bias.value)
+    dxhat = dy * layer.gain.value
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    assert np.array_equal(dx, inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat))
+    assert np.array_equal(layer.gain.grad, (dy * xhat).reshape(-1, 48).sum(axis=0))
+    assert np.array_equal(layer.bias.grad, dy.reshape(-1, 48).sum(axis=0))
+
+
+def textbook_attention(layer, x, past=None):
+    """Forward of `CausalSelfAttention` as plain expressions: y and what
+    backward needs."""
+    b, t, d = x.shape
+    h, dh = layer.n_head, layer.d_head
+    qkv = x @ layer.qkv.w.value + layer.qkv.b.value
+    q, k, v = (a.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+               for a in np.split(qkv, 3, axis=-1))
+    if past is not None:
+        k = np.concatenate([past[0], k], axis=2)
+        v = np.concatenate([past[1], v], axis=2)
+    s = k.shape[2]
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    scores[..., np.triu(np.ones((t, s), dtype=bool), k=s - t + 1)] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    return ctx @ layer.proj.w.value + layer.proj.b.value, (q, k, v, attn, ctx)
+
+
+def test_attention_is_bit_equal_to_textbook():
+    rng = np.random.default_rng(14)
+    layer = nn.CausalSelfAttention(32, 4, rng)
+    x = rng.standard_normal((3, 9, 32))
+    dy = rng.standard_normal(x.shape)
+    y, cache = layer.forward(x)
+    dx = layer.backward(dy, cache)
+
+    want, (q, k, v, attn, ctx) = textbook_attention(layer, x)
+    assert np.array_equal(y, want)
+    b, t, d = x.shape
+    dctx = (dy @ layer.proj.w.value.T).reshape(b, t, 4, 8).transpose(0, 2, 1, 3)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dq = dscores @ k / math.sqrt(8)
+    dk = dscores.transpose(0, 1, 3, 2) @ q / math.sqrt(8)
+    dqkv = np.concatenate([a.transpose(0, 2, 1, 3).reshape(b, t, d) for a in (dq, dk, dv)],
+                          axis=-1)
+    assert np.array_equal(dx, dqkv @ layer.qkv.w.value.T)
+    assert np.array_equal(layer.qkv.w.grad, x.reshape(-1, d).T @ dqkv.reshape(-1, 3 * d))
+    assert np.array_equal(layer.qkv.b.grad, dqkv.reshape(-1, 3 * d).sum(axis=0))
+    assert np.array_equal(layer.proj.w.grad, ctx.reshape(-1, d).T @ dy.reshape(-1, d))
+    assert np.array_equal(layer.proj.b.grad, dy.reshape(-1, d).sum(axis=0))
+
+
+def test_attention_step_with_past_is_bit_equal_to_textbook():
+    rng = np.random.default_rng(15)
+    layer = nn.CausalSelfAttention(32, 4, rng)
+    _, (_, _, past_k, past_v, _, _) = layer.forward(rng.standard_normal((5, 6, 32)))
+    x = rng.standard_normal((5, 1, 32))
+    y, (_, _, k, v, _, _) = layer.forward(x, (past_k, past_v))
+    want, (_, want_k, want_v, _, _) = textbook_attention(layer, x, (past_k, past_v))
+    assert np.array_equal(y, want)
+    assert np.array_equal(k, want_k) and np.array_equal(v, want_v)
