@@ -19,8 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn
-from .artifacts import (fingerprint_json, load_checkpoint, save_checkpoint,
-                        tensors_fingerprint)
+from .artifacts import load_checkpoint, save_checkpoint, tensors_fingerprint
 from .errors import CompatibilityError, ConfigurationError, TrainingDiverged
 from .lm import CausalTransformerLM, perplexity, sequence_nll, teacher_forced_batch
 from .nn import masked_cross_entropy
@@ -214,8 +213,8 @@ class StyledLanguageModel:
         logits, cache = self.base_lm.forward_embeds(embeds, self.adapters, past)
         return logits[:, -1], self.base_lm.past_kv(cache)
 
-    def perplexity(self, token_lists, batch_size=16):
-        return perplexity(self.base_lm, token_lists, self.adapters, batch_size)
+    def perplexity(self, token_lists):
+        return perplexity(self.base_lm, token_lists, self.adapters)
 
     def decode(self, token_ids):
         return self.base_lm.tokenizer.decode(token_ids)
@@ -347,7 +346,3 @@ def train_on_texts(texts, lm, cfg: AdapterTrainConfig, label="text-corpus"):
     """
     token_lists = [lm.tokenizer.encode(t) for t in texts]
     return _train_text_model(token_lists, lm, lm.params(), None, cfg, label)
-
-
-def adapter_data_fingerprint(passages):
-    return fingerprint_json([[p.source_title, p.text] for p in passages])

@@ -70,26 +70,23 @@ def load_tensors(directory):
     return out
 
 
-def tensors_fingerprint(arrays):
-    """sha256 over names, shapes and canonical float32 bytes, order-independent."""
+def tensors_fingerprint(params):
+    """sha256 over names, shapes and float32 bytes of {name: Param}, order-free."""
     h = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = arrays[name]
-        value = arr.value if hasattr(arr, "value") else arr
+    for name in sorted(params):
+        value = params[name].value
         h.update(name.encode())
         h.update(str(np.shape(value)).encode())
         h.update(np.ascontiguousarray(value, dtype="<f4").tobytes())
     return h.hexdigest()
 
 
-def strict_checksum(arrays):
-    """sha256 over raw in-memory bytes; detects any bit-level parameter change."""
+def strict_checksum(params):
+    """sha256 over the raw bytes of {name: Param}; detects any bit-level change."""
     h = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = arrays[name]
-        value = arr.value if hasattr(arr, "value") else arr
+    for name in sorted(params):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(value).tobytes())
+        h.update(np.ascontiguousarray(params[name].value).tobytes())
     return h.hexdigest()
 
 

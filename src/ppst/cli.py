@@ -17,9 +17,11 @@ with a run directory `<artifacts_dir>/<stage>-<confighash>/`; the hash also
 covers the files of an explicit `lm.checkpoint`. A stage works in a staging dir
 under a pid lock (a lock whose pid is gone is removed), then moves its outputs
 into place and writes manifest.json last, so a crashed run leaves the previous
-one intact. A complete manifest over unchanged inputs is skipped unless --force
-is given; a downstream stage reads only complete upstream runs. `generate`
-checks that the mapper was trained on the base LM and encoder in use.
+one intact. A complete manifest over the same inputs is "up to date" and skipped
+unless --force is given; the inputs are the files and runs a stage reads, the
+base LM, mapper and model included, but for evaluate only its records and gold.
+A downstream stage reads only complete upstream runs. `generate` checks that
+the mapper and a non-styled fine-tune come from the base LM in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
 corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG or of
@@ -45,17 +47,16 @@ from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
-                       StyledLanguageModel, adapter_data_fingerprint, attach,
-                       default_adapter_config, train_adapter, train_full_finetune,
-                       train_on_texts)
+                       StyledLanguageModel, attach, default_adapter_config,
+                       train_adapter, train_full_finetune, train_on_texts)
 from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
-                        read_jsonl, read_manifest, read_text, write_jsonl)
+                        read_jsonl, read_manifest, read_text, tensors_fingerprint,
+                        write_jsonl)
 from .encoding import HashedNgramEncoder
 from .errors import CompatibilityError, InputError, PpstError, TrainingDiverged
 from .generation import DecodeConfig, generate
 from .lm import CausalTransformerLM, LmConfig
-from .mapper import (MapperConfig, MapperTrainConfig, PrefixMapper,
-                     mapper_data_fingerprint, train_mapper)
+from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from .metrics import evaluate_run
 from .tokenizer import WordTokenizer
 
@@ -306,9 +307,12 @@ def cmd_train_mapper(cfg, force=False):
         raise InputError("caption dataset is empty", ref="captions.jsonl")
     encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg, force=False)
+    lm_fp = lm.fingerprint()
 
     stage = _stage(cfg, "train-mapper")
-    input_fp = mapper_data_fingerprint(captions)
+    data_fp = fingerprint_json([[p.image_ref, p.caption_text, p.split] for p in captions])
+    input_fp = fingerprint_json(
+        [data_fp, [fingerprint_file(p.image_ref) for p in captions], lm_fp])
     if stage.skip(input_fp, force):
         return
 
@@ -322,8 +326,8 @@ def cmd_train_mapper(cfg, force=False):
             "train_config": vars(train_cfg),
             "encoder_model_id": encoder.model_id,
             "lm_id": lm.lm_id,
-            "lm_fingerprint": lm.fingerprint(),
-            "data_fingerprint": input_fp,
+            "lm_fingerprint": lm_fp,
+            "data_fingerprint": data_fp,
             "final_loss": loss_log[-1]["train_loss"],
         })
         write_jsonl(out / "loss_log.jsonl", loss_log)
@@ -347,9 +351,11 @@ def cmd_train_adapter(cfg, style, force=False):
     if not passages:
         raise InputError(f"no passages for style {style!r}", ref=style)
     lm = ensure_base_lm(cfg, force=False)
+    lm_fp = lm.fingerprint()
 
     stage = _stage(cfg, "train-adapter", style, extra=style)
-    input_fp = adapter_data_fingerprint(passages)
+    data_fp = fingerprint_json([[p.source_title, p.text] for p in passages])
+    input_fp = fingerprint_json([data_fp, lm_fp])
     if stage.skip(input_fp, force):
         return
 
@@ -358,6 +364,7 @@ def cmd_train_adapter(cfg, style, force=False):
         if style == "non-styled":
             tuned, loss_log = train_full_finetune(passages, lm, train_cfg)
             tuned.save(out / "checkpoints" / "lm_finetuned")
+            manifest.update(base_lm_fingerprint=lm_fp)
         else:
             adapter_config = _build(AdapterConfig, section, bottleneck_dim=(
                 section["bottleneck_dim"]
@@ -367,7 +374,7 @@ def cmd_train_adapter(cfg, style, force=False):
                                                       adapter_config=adapter_config)
             adapter_set.save(out / "checkpoints" / "adapter", extra_manifest={
                 "train_config": vars(train_cfg),
-                "data_fingerprint": input_fp,
+                "data_fingerprint": data_fp,
                 "final_loss": loss_log[-1]["train_loss"],
             })
         write_jsonl(out / "loss_log.jsonl", loss_log)
@@ -385,6 +392,10 @@ def _styled_model(cfg, style, lm, adapter_run):
         return StyledLanguageModel(lm, None, "plain")
     if style == "non-styled":
         run_dir = _stage(cfg, "train-adapter", style, extra=style).require()
+        if read_manifest(run_dir).get("base_lm_fingerprint") != lm.fingerprint():
+            raise CompatibilityError(f"the fine-tuned LM in {run_dir} was made from "
+                                     "another base LM; run `ppst train-adapter --style "
+                                     "non-styled`")
         return StyledLanguageModel(
             CausalTransformerLM.load(run_dir / "checkpoints" / "lm_finetuned"), None,
             "full_finetune")
@@ -407,8 +418,6 @@ def cmd_generate(cfg, images, style, force=False):
     image_files = _list_images(images)
     image_fp = fingerprint_json([fingerprint_file(f) for f in image_files])
     stage = _stage(cfg, "generate", style, extra={"style": style, "images": image_fp})
-    if stage.skip(image_fp, force):
-        return
 
     mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
     # an adapter run is found before any model loads; the fine-tune of non-styled
@@ -426,9 +435,14 @@ def cmd_generate(cfg, images, style, force=False):
         raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
                                  "base LM or encoder; run `ppst --force train-mapper`")
     model = _styled_model(cfg, style, lm, adapter_run)
+    model_manifest = model.manifest()
+    input_fp = fingerprint_json([image_fp, tensors_fingerprint(mapper.params()),
+                                 model_manifest])
+    if stage.skip(input_fp, force):
+        return
 
     n_ok = 0
-    with stage.run(image_fp) as (out, manifest):
+    with stage.run(input_fp) as (out, manifest):
         (out / "records").mkdir()
         with open(out / "records" / "records.jsonl", "w", encoding="utf-8") as rec_fh, \
                 open(out / "records" / "timings.jsonl", "w", encoding="utf-8") as time_fh:
@@ -446,7 +460,7 @@ def cmd_generate(cfg, images, style, force=False):
                 time_fh.write(json.dumps({"image_ref": str(image),
                                           "wall_time_s": record.wall_time_s}) + "\n")
                 n_ok += 1
-        manifest.update(n_records=n_ok, n_images=len(image_files), model=model.manifest())
+        manifest.update(n_records=n_ok, n_images=len(image_files), model=model_manifest)
     print(f"generate[{style}]: {n_ok}/{len(image_files)} records -> "
           f"{stage.dir / 'records' / 'records.jsonl'}")
 

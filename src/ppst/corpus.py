@@ -108,10 +108,6 @@ class GenreCatalog:
                 entries[normalize_title(title)] = genres
         return cls(entries)
 
-    def add(self, title, genres):
-        genres = [g if g in RECOGNIZED_GENRES else "other" for g in genres]
-        self.entries[normalize_title(title)] = list(genres)
-
 
 def chunk_book(text):
     """Paragraphs (split on one-or-more blank lines) with 30-60 words, in order."""

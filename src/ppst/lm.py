@@ -130,9 +130,8 @@ class CausalTransformerLM:
         return dh
 
     def forward_tokens(self, ids, adapters=None):
+        """ids: (B, T) token ids."""
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim == 1:
-            ids = ids[None, :]
         logits, cache = self.forward_embeds(self.embed_tokens(ids), adapters)
         return logits, (cache, ids)
 
@@ -208,7 +207,7 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
     return total_nll, total_tokens
 
 
-def perplexity(lm, token_lists, adapters=None, batch_size=16):
+def perplexity(lm, token_lists, adapters=None):
     """exp(mean NLL per token); lower is a better fit."""
-    nll, count = sequence_nll(lm, token_lists, adapters, batch_size)
+    nll, count = sequence_nll(lm, token_lists, adapters)
     return float(np.exp(nll / max(count, 1)))

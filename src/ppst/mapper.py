@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn
-from .artifacts import fingerprint_json, load_checkpoint, save_checkpoint
+from .artifacts import load_checkpoint, save_checkpoint
 from .encoding import VisualEmbedding
 from .errors import ConfigurationError, TrainingDiverged
 from .nn import masked_cross_entropy
@@ -189,7 +189,3 @@ def train_mapper(pairs, encoder, base_lm, cfg: MapperTrainConfig,
                 epoch_losses.append(loss)
             loss_log.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses))})
     return mapper, loss_log
-
-
-def mapper_data_fingerprint(pairs):
-    return fingerprint_json([[p.image_ref, p.caption_text, p.split] for p in pairs])

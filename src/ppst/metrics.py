@@ -1,10 +1,12 @@
 """Automatic evaluation harness.
 
-Native metrics: ROUGE-L (LCS F-measure, recall-weighting beta = 1.2),
-ChrF++ (character 1..6-gram plus word 1..2-gram F, beta = 2, averaged over
-orders), and CLIPScore (w * max(cos, 0), w = 2.5). Four model-based text
-metrics (MoverScore, BERTScore, BLEURT, BARTScore) are delegated to an
-out-of-process scorer over a newline-delimited JSON protocol:
+Native metrics, whose standard parameters are module constants: ROUGE-L (LCS
+F-measure, recall weight ROUGE_BETA = 1.2), ChrF++ (character 1..6-gram plus
+word 1..2-gram F, CHRF_CHAR_ORDERS and CHRF_WORD_ORDERS, beta CHRF_BETA = 2,
+averaged over orders), and CLIPScore (w * max(cos, 0), w = `clip_weight`,
+2.5 by default; an unreadable image is a per-item diagnostic). Four
+model-based text metrics (MoverScore, BERTScore, BLEURT, BARTScore) are
+delegated to an out-of-process scorer over a newline-delimited JSON protocol:
 `external_score(endpoint, "BLEURT", [(item_id, candidate, references), ...])`
 returns {item_id: score}. When the endpoint is absent, fails after retries, or
 replies with a line that is not UTF-8 JSON or has a non-finite score, those
@@ -29,11 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError, ScorerUnavailable
+from .errors import ConfigurationError, PpstError, ProtocolError, ScorerUnavailable
 
 REPORT_COLUMNS = ("ROUGE-L", "ChrF++", "MoverScore", "BERTScore", "BLEURT",
                   "BARTScore", "CLIPScore")
 EXTERNAL_METRICS = ("MoverScore", "BERTScore", "BLEURT", "BARTScore")
+
+ROUGE_BETA, CHRF_CHAR_ORDERS, CHRF_WORD_ORDERS, CHRF_BETA = 1.2, 6, 2, 2.0
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -69,7 +73,7 @@ def _f_score(precision, recall, beta):
     return (1 + beta * beta) * precision * recall / denom
 
 
-def rouge_l(candidate, references, beta=1.2):
+def rouge_l(candidate, references):
     """LCS-based P/R/F against each reference; returns the max-F reference's triple.
 
     candidate: token sequence; references: list of token sequences. Values in
@@ -84,7 +88,7 @@ def rouge_l(candidate, references, beta=1.2):
         lcs = lcs_length(list(candidate), list(ref))
         precision = lcs / len(candidate)
         recall = lcs / len(ref)
-        f = _f_score(precision, recall, beta)
+        f = _f_score(precision, recall, ROUGE_BETA)
         if f > best["f"]:
             best = {"precision": precision, "recall": recall, "f": f}
     best["f"] = max(best["f"], 0.0)
@@ -99,7 +103,7 @@ def _ngram_counter(seq, n):
     return Counter(tuple(seq[i: i + n]) for i in range(len(seq) - n + 1))
 
 
-def _order_f(cand_seq, ref_seq, n, beta):
+def _order_f(cand_seq, ref_seq, n):
     cand = _ngram_counter(cand_seq, n)
     ref = _ngram_counter(ref_seq, n)
     cand_total = sum(cand.values())
@@ -109,10 +113,10 @@ def _order_f(cand_seq, ref_seq, n, beta):
     matches = sum(min(c, ref[g]) for g, c in cand.items())
     precision = matches / cand_total if cand_total else 0.0
     recall = matches / ref_total if ref_total else 0.0
-    return _f_score(precision, recall, beta)
+    return _f_score(precision, recall, CHRF_BETA)
 
 
-def chrf_pp(candidate, references, char_orders=6, word_orders=2, beta=2.0):
+def chrf_pp(candidate, references):
     """Character 1..6-gram + word 1..2-gram F-score in [0, 1], max over references.
 
     Character n-grams are taken over the text with whitespace removed; word
@@ -130,12 +134,12 @@ def chrf_pp(candidate, references, char_orders=6, word_orders=2, beta=2.0):
         ref_chars = "".join(ref.split())
         ref_words = tokenize(ref, lowercase=False)
         scores = []
-        for n in range(1, char_orders + 1):
-            f = _order_f(cand_chars, ref_chars, n, beta)
+        for n in range(1, CHRF_CHAR_ORDERS + 1):
+            f = _order_f(cand_chars, ref_chars, n)
             if f is not None:
                 scores.append(f)
-        for n in range(1, word_orders + 1):
-            f = _order_f(cand_words, ref_words, n, beta)
+        for n in range(1, CHRF_WORD_ORDERS + 1):
+            f = _order_f(cand_words, ref_words, n)
             if f is not None:
                 scores.append(f)
         if scores:
@@ -308,7 +312,7 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
                     window = getattr(encoder, "max_text_tokens", None)
                     if window is not None and len(story.split()) > window:
                         report.item_meta[item_id]["clip_text_truncated_to"] = window
-            except Exception as exc:
+            except PpstError as exc:      # an unreadable image, mismatched embeddings
                 report.diagnostics.append({"item_id": item_id, "image_ref": image_ref,
                                            "clip_score_error": str(exc)})
         report.per_item[item_id] = row

@@ -133,10 +133,11 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim, eps=1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim):
         self.gain = Param(np.ones(dim))
         self.bias = Param(np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x):
         xhat = x - _mean(x)
@@ -219,21 +220,20 @@ class CausalSelfAttention:
 
 
 class Mlp:
-    def __init__(self, d_model, d_ff, rng, activation="gelu"):
+    def __init__(self, d_model, d_ff, rng):
         self.fc = Linear(d_model, d_ff, rng)
         self.out = Linear(d_ff, d_model, rng)
-        self.act_fwd, self.act_bwd = get_activation(activation)
 
     def forward(self, x):
         h, fc_cache = self.fc.forward(x)
-        a, act_cache = self.act_fwd(h)
+        a, act_cache = _gelu_fwd(h)
         y, out_cache = self.out.forward(a)
         return y, (fc_cache, act_cache, out_cache)
 
     def backward(self, dy, cache):
         fc_cache, act_cache, out_cache = cache
         da = self.out.backward(dy, out_cache)
-        dh = self.act_bwd(da, act_cache)
+        dh = _gelu_bwd(da, act_cache)
         return self.fc.backward(dh, fc_cache)
 
     def params(self, prefix):
@@ -317,17 +317,15 @@ def masked_cross_entropy(logits, targets, mask):
 
 
 class Adam:
-    """Adam with the usual defaults; updates only the params it was given, in
-    place, over flat blocks of BLOCK elements through two scratch blocks."""
+    """Adam with the usual betas and eps; updates only the params it was given,
+    in place, over flat blocks of BLOCK elements through two scratch blocks."""
 
     BLOCK = 32768
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(p.value.shape) for k, p in self.params.items()}
         self.v = {k: np.zeros(p.value.shape) for k, p in self.params.items()}
@@ -344,25 +342,25 @@ class Adam:
             if not (p.value.flags.c_contiguous and p.grad.flags.c_contiguous):
                 raise ConfigurationError(f"Adam: param {k!r} is not C-contiguous")
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for k, p in self.params.items():
             flat = [arr.reshape(-1) for arr in (p.value, p.grad, self.m[k], self.v[k])]
             for start in range(0, p.value.size, self.BLOCK):
                 value, g, m, v = (arr[start: start + self.BLOCK] for arr in flat)
                 a, b = (scratch[: g.size] for scratch in self.scratch)
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=a)
+                m *= self.BETA1
+                np.multiply(g, 1.0 - self.BETA1, out=a)
                 m += a
-                v *= self.beta2
-                np.multiply(g, 1.0 - self.beta2, out=a)
+                v *= self.BETA2
+                np.multiply(g, 1.0 - self.BETA2, out=a)
                 a *= g
                 v += a
                 np.divide(m, b1c, out=a)
                 a *= self.lr
                 np.divide(v, b2c, out=b)
                 np.sqrt(b, out=b)
-                b += self.eps
+                b += self.EPS
                 a /= b
                 value -= a
 

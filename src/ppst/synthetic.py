@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ImageCaptionPair, StyledPassage
+from .corpus import MAX_WORDS, MIN_WORDS, ImageCaptionPair, StyledPassage
 from .encoding import write_pgm
 
 ROMANCE_WORDS = [
@@ -51,13 +51,13 @@ def full_vocabulary():
     return sorted(set(ROMANCE_WORDS + ACTION_WORDS + caption_vocabulary()))
 
 
-def make_style_passages(style, n, seed=0, min_words=30, max_words=60):
-    """n passages of 30-60 words drawn from the style's content vocabulary."""
+def make_style_passages(style, n, seed=0):
+    """n passages of MIN_WORDS-MAX_WORDS words from the style's content vocabulary."""
     words = STYLE_VOCAB[style]
     rng = np.random.default_rng(seed)
     passages = []
     for i in range(n):
-        count = int(rng.integers(min_words, max_words + 1))
+        count = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
         text = " ".join(rng.choice(words, size=count))
         passages.append(StyledPassage(text=text, word_count=count, genres=[style],
                                       source_title=f"{style} volume {i // 200}"))
@@ -71,9 +71,9 @@ def make_caption(rng):
     return f"a photo of the {color} {obj} on the {place}"
 
 
-def render_text_image(path, text, size=(24, 24)):
-    """Tile the text's bytes into a grayscale raster and write it as PGM."""
-    h, w = size
+def render_text_image(path, text):
+    """Tile the text's bytes into a 24x24 grayscale raster and write it as PGM."""
+    h = w = 24
     data = text.encode("utf-8")
     reps = -(-(h * w) // len(data))
     pixels = np.frombuffer(data * reps, dtype=np.uint8)[: h * w].reshape(h, w)
@@ -81,8 +81,8 @@ def render_text_image(path, text, size=(24, 24)):
     return path
 
 
-def make_caption_dataset(directory, n, seed=0, split="train"):
-    """n (image, caption) pairs; each image renders its caption's bytes."""
+def make_caption_dataset(directory, n, seed=0):
+    """n train (image, caption) pairs; each image renders its caption's bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -91,8 +91,7 @@ def make_caption_dataset(directory, n, seed=0, split="train"):
         caption = make_caption(rng)
         path = directory / f"img{i:05d}.pgm"
         render_text_image(path, caption)
-        pairs.append(ImageCaptionPair(image_ref=str(path), caption_text=caption,
-                                      split=split))
+        pairs.append(ImageCaptionPair(image_ref=str(path), caption_text=caption))
     return pairs
 
 
@@ -133,10 +132,10 @@ def make_book_files(directory, seed=0):
 # unigram analysis for the style-shift check
 
 
-def unigram_distribution(token_lists, vocab, eps=1e-6):
-    """Smoothed unigram distribution of tokens over `vocab` (type list)."""
+def unigram_distribution(token_lists, vocab):
+    """Unigram distribution of tokens over `vocab` (type list), add-1e-6 smoothed."""
     index = {w: i for i, w in enumerate(vocab)}
-    counts = np.full(len(vocab), eps)
+    counts = np.full(len(vocab), 1e-6)
     for tokens in token_lists:
         for t in tokens:
             if t in index:

@@ -1,3 +1,5 @@
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +11,7 @@ from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
                            default_adapter_config, train_adapter,
                            train_full_finetune)
 from ppst.corpus import StyledPassage
-from ppst.errors import CompatibilityError, ConfigurationError
+from ppst.errors import CompatibilityError, ConfigurationError, TrainingDiverged
 from ppst.lm import CausalTransformerLM
 from ppst.synthetic import make_style_passages
 
@@ -274,3 +276,16 @@ def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     train_adapter(passages, tiny_lm, cfg, style="romance")
     train_full_finetune(passages, tiny_lm, cfg)
     assert len(forwards) == 2 * 2 * (3 + 1)    # two trainers, two epochs, 3 + 1 batches
+
+
+@pytest.mark.parametrize("trainer, label", [(train_adapter, "adapter[romance]"),
+                                            (train_full_finetune, "full-finetune")],
+                         ids=["adapter", "full-finetune"])
+def test_text_trainers_abort_on_non_finite_loss(tiny_lm, trainer, label):
+    tiny_lm.head.b.value[:] = np.inf          # poisoned LM -> nan loss immediately
+    passages = make_style_passages("romance", 4, seed=0)
+    cfg = AdapterTrainConfig(max_epochs=1, batch_size=4, val_fraction=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # inf arithmetic is the point here
+        with pytest.raises(TrainingDiverged, match=re.escape(f"{label}: non-finite loss")):
+            trainer(passages, tiny_lm, cfg)

@@ -177,6 +177,72 @@ def test_stage_config_hashes_are_pinned(tmp_path, name):
             for kind in cli.STAGE_SECTIONS} == STAGE_HASHES[name]
 
 
+def skipped(command, out):
+    """Whether `out` says the stage of `command` was up to date."""
+    return re.search(rf"^{command}\S*: up to date", out, re.M) is not None
+
+
+def grow_action_book(root):
+    """Append a 40-word paragraph to an action book, which changes the corpus
+    and so the base LM built from it."""
+    with open(Path(root) / "books" / "Steel Convoy.txt", "a", encoding="utf-8") as fh:
+        fh.write("\n\n" + " ".join(["convoy"] * 40))
+
+
+def test_rebuilt_base_lm_leaves_no_downstream_run_up_to_date(tmp_path, capsys):
+    config_path, _ = build_workspace(tmp_path)
+    steps = (["train-mapper"], ["train-adapter", "--style", "romance"],
+             ["generate", "--style", "romance", "--images", str(tmp_path / "images")])
+    for argv in (["build-corpus"], *steps):
+        assert main(["--config", str(config_path), *argv]) == 0
+    grow_action_book(tmp_path)
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    for argv in steps:
+        capsys.readouterr()
+        assert main(["--config", str(config_path), *argv]) == 0
+        out = capsys.readouterr().out
+        assert not skipped(argv[0], out), out
+        if argv == ["train-mapper"]:
+            assert "base-lm: built" in out
+    for argv in steps:                   # over unchanged inputs each one skips
+        assert main(["--config", str(config_path), *argv]) == 0
+        assert skipped(argv[0], capsys.readouterr().out), argv
+
+
+def test_replaced_caption_image_leaves_mapper_not_up_to_date(tmp_path, capsys):
+    from ppst.synthetic import render_text_image
+    config_path, _ = build_workspace(tmp_path)
+    for argv in (["build-corpus"], ["train-mapper"]):
+        assert main(["--config", str(config_path), *argv]) == 0
+    render_text_image(sorted((tmp_path / "images").glob("*.pgm"))[0], "another picture")
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "train-mapper"]) == 0
+    assert not skipped("train-mapper", capsys.readouterr().out)
+
+
+def test_generate_rejects_fine_tune_of_an_older_base_lm(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    fine_tune = ["--config", str(config_path), "train-adapter", "--style", "non-styled"]
+    for argv in (["build-corpus"], ["train-mapper"]):
+        assert main(["--config", str(config_path), *argv]) == 0
+    assert main(fine_tune) == 0
+    grow_action_book(tmp_path)
+    for argv in (["build-corpus"], ["--force", "train-mapper"]):
+        assert main(["--config", str(config_path), *argv]) == 0
+    (run_dir,) = run_dirs(cfg, "train-adapter-non-styled-")
+    generate = ["--config", str(config_path), "generate", "--style", "non-styled",
+                "--images", str(tmp_path / "images")]
+    capsys.readouterr()
+    assert main(generate) == 2
+    err = capsys.readouterr().err
+    assert f"the fine-tuned LM in {run_dir} was made from another base LM" in err, err
+    assert "ppst train-adapter --style non-styled" in err and "Traceback" not in err
+    # the fine-tune is no longer up to date, and once re-run it passes the check
+    assert main(fine_tune) == 0
+    assert not skipped("train-adapter", capsys.readouterr().out)
+    assert main(generate) == 0
+
+
 def test_build_corpus_rerun_is_skipped(tmp_path, capsys):
     config_path, cfg = build_workspace(tmp_path)
     assert main(["--config", str(config_path), "build-corpus"]) == 0

@@ -67,15 +67,12 @@ def test_chunk_is_pure():
 
 
 def _catalog():
-    cat = GenreCatalog()
-    cat.add("The Long Road", ["romance", "teen"])
-    cat.add("night watch", ["thriller", "mystery", "horror"])
-    return cat
+    return GenreCatalog({"the long road": ["romance", "teen"],
+                         "night watch": ["thriller", "mystery", "horror"]})
 
 
 def test_match_genres_normalization_identity():
-    cat = GenreCatalog()
-    cat.add("the long road", ["romance"])
+    cat = GenreCatalog({"the long road": ["romance"]})
     assert match_genres("The Long Road", cat) == ["romance"]
 
 
@@ -85,10 +82,8 @@ def test_match_genres_absent_title():
 
 def test_match_genres_random_perturbations():
     rng = np.random.default_rng(1)
-    cat = GenreCatalog()
     titles = [f"book number {i} of tales" for i in range(100)]
-    for t in titles:
-        cat.add(t, ["fantasy"])
+    cat = GenreCatalog({t: ["fantasy"] for t in titles})
     punct = list("!?.,;:'\"()[]")
     matched = 0
     for t in titles:

@@ -459,6 +459,45 @@ def test_clip_truncation_is_recorded(tmp_path):
     assert report.item_meta["item00000"]["clip_text_truncated_to"] == 4
 
 
+def test_clip_score_turns_only_package_errors_into_diagnostics(tmp_path, monkeypatch):
+    """A deleted image costs its item only the CLIPScore, with a diagnostic, and
+    `ppst evaluate` exits 0; a programming error is not swallowed."""
+    from ppst import metrics
+    from ppst.cli import main
+    from ppst.corpus import ImageCaptionPair, save_caption_pairs
+    from ppst.encoding import HashedNgramEncoder
+    from ppst.synthetic import render_text_image
+    captions = ["a red cat on the table", "a blue dog on the grass"]
+    images = [render_text_image(tmp_path / f"img{i}.pgm", c)
+              for i, c in enumerate(captions)]
+    gold, records = tmp_path / "gold.jsonl", tmp_path / "records.jsonl"
+    save_caption_pairs([ImageCaptionPair(str(p), c, "test")
+                        for p, c in zip(images, captions)], gold)
+    records.write_text("".join(json.dumps({"image_ref": str(p), "story": c}) + "\n"
+                               for p, c in zip(images, captions)))
+    images[1].unlink()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"artifacts_dir": str(tmp_path / "runs"),
+                                  "encoder": {"embed_dim": 32, "n_buckets": 256}}))
+    assert main(["--config", str(config), "evaluate", "--records", str(records),
+                 "--gold", str(gold)]) == 0
+    (report,) = (tmp_path / "runs").glob("evaluate-*/reports/report.jsonl")
+    rows = [json.loads(line) for line in report.read_text().splitlines()]
+    metrics_of = {row["item_id"]: row["metrics"] for row in rows if row["kind"] == "item"}
+    assert set(metrics_of["item00000"]) == {"ROUGE-L", "ChrF++", "CLIPScore"}
+    assert metrics_of["item00001"] == {"ROUGE-L": 100.0, "ChrF++": 100.0}
+    (error,) = [d for d in rows[-1]["diagnostics"] if "clip_score_error" in d]
+    assert error["item_id"] == "item00001" and str(images[1]) in error["clip_score_error"]
+
+    def broken(*args):
+        raise TypeError("clip_score() got an unexpected argument")
+
+    monkeypatch.setattr(metrics, "clip_score", broken)
+    with pytest.raises(TypeError):
+        evaluate_run([Row(str(images[0]), captions[0])], {str(images[0]): [captions[0]]},
+                     encoder=HashedNgramEncoder(embed_dim=32, n_buckets=256))
+
+
 def test_report_serializations(tmp_path):
     report = MetricReport(per_item={"item00000": {"ROUGE-L": 50.0, "ChrF++": 40.0}},
                           item_meta={"item00000": {"image_ref": "img0"}},
