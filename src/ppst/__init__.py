@@ -16,7 +16,7 @@ from .adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
 from .corpus import (CANONICAL_GENRES, GenreCatalog, ImageCaptionPair, StyledPassage,
                      build_styled_passages, chunk_book, filter_by_style, match_genres,
                      subsample)
-from .encoding import EmbeddingCache, HashedNgramEncoder, TextEmbedding, VisualEmbedding
+from .encoding import EmbeddingCache, HashedNgramEncoder
 from .errors import (CompatibilityError, ConfigurationError, InputError, PpstError,
                      ProtocolError, ScorerUnavailable, TrainingDiverged)
 from .generation import DecodeConfig, GenerationRecord, generate

@@ -19,7 +19,7 @@ under a pid lock (a lock whose pid is gone is removed), then moves its outputs
 into place and writes manifest.json last, so a crashed run leaves the previous
 one intact. A complete manifest over the same inputs is "up to date" and skipped
 unless --force is given; the inputs are the files and runs a stage reads, the
-base LM, mapper and model included, but for evaluate only its records and gold.
+base LM, mapper and model included, and for evaluate the images it scores.
 A downstream stage reads only complete upstream runs. `generate` checks that
 the mapper and a non-styled fine-tune come from the base LM in use.
 
@@ -262,7 +262,7 @@ def _read_corpus(cfg):
 # base LM materialization
 
 
-def ensure_base_lm(cfg, force=False):
+def ensure_base_lm(cfg):
     """Resolve the base LM: an explicit checkpoint, or a deterministic toy LM
     built from the corpus (vocabulary from passages + captions, then
     `pretrain_epochs` of causal-LM training)."""
@@ -276,7 +276,7 @@ def ensure_base_lm(cfg, force=False):
     if not texts:
         raise InputError("no corpus text to build a base LM from", ref="corpus")
     input_fp = fingerprint_json(texts)
-    if not stage.skip(input_fp, force):
+    if not stage.skip(input_fp):
         with stage.run(input_fp) as (out, manifest):
             tokenizer = WordTokenizer.build(texts, max_vocab=section["max_vocab"])
             lm_config = _build(LmConfig, section, vocab_size=tokenizer.vocab_size)
@@ -306,7 +306,7 @@ def cmd_train_mapper(cfg, force=False):
     if not captions:
         raise InputError("caption dataset is empty", ref="captions.jsonl")
     encoder = HashedNgramEncoder(**cfg["encoder"])
-    lm = ensure_base_lm(cfg, force=False)
+    lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
 
     stage = _stage(cfg, "train-mapper")
@@ -350,7 +350,7 @@ def cmd_train_adapter(cfg, style, force=False):
         passages = corpus_mod.filter_by_style(passages, style)
     if not passages:
         raise InputError(f"no passages for style {style!r}", ref=style)
-    lm = ensure_base_lm(cfg, force=False)
+    lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
 
     stage = _stage(cfg, "train-adapter", style, extra=style)
@@ -426,7 +426,7 @@ def cmd_generate(cfg, images, style, force=False):
                    else _stage(cfg, "train-adapter", style, extra=style).require())
     mapper = PrefixMapper.load(mapper_ckpt)
     encoder = HashedNgramEncoder(**cfg["encoder"])
-    lm = ensure_base_lm(cfg, force=False)
+    lm = ensure_base_lm(cfg)
     # the mapper must come from this base LM and encoder, also for non-styled,
     # whose fine-tuned LM reuses the base LM's mapper
     trained = read_manifest(mapper_ckpt)
@@ -465,6 +465,13 @@ def cmd_generate(cfg, images, style, force=False):
           f"{stage.dir / 'records' / 'records.jsonl'}")
 
 
+def _image_fingerprint(image_ref):
+    try:
+        return fingerprint_file(image_ref)
+    except InputError:
+        return None
+
+
 def cmd_evaluate(cfg, records_path, gold_path, force=False):
     records_path = _require(records_path, "records file")
     gold_path = _require(gold_path, "gold captions file")
@@ -482,7 +489,9 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
     records_fp = fingerprint_file(records_path)
     gold_fp = fingerprint_file(gold_path)
     stage = _stage(cfg, "evaluate", extra={"records": records_fp, "gold": gold_fp})
-    input_fp = fingerprint_json([records_fp, gold_fp])
+    # records, gold and the images CLIPScore reads (None for an unreadable one)
+    input_fp = fingerprint_json([records_fp, gold_fp, [
+        _image_fingerprint(row.image_ref) for row in rows if row.image_ref in references]])
     if stage.skip(input_fp, force):
         return
 

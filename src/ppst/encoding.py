@@ -1,14 +1,15 @@
 """Frozen image/text embedding front end.
 
 The pipeline treats the encoder as an opaque, immutable component that maps
-images and texts into one shared d_e-dimensional space. A caller needs four
-names from it: `encode_image`, `encode_text`, `embed_dim` and `model_id`.
-`HashedNgramEncoder` is the bundled implementation: a deterministic
-character/byte n-gram featurizer followed by a fixed random projection seeded
-from the model id. It has no learned weights, never updates, and keeps
-image/text relevance meaningful whenever image pixel content mirrors text
-(the synthetic datasets in synthetic.py do exactly that). A wrapper for a
-real contrastive checkpoint provides the same four names.
+images and texts to float64 vectors of shape (embed_dim,) in one shared space.
+A caller needs four names from it: `encode_image`, `encode_text`, `embed_dim`
+and `model_id`. `HashedNgramEncoder` is the bundled implementation: a
+deterministic character/byte n-gram featurizer followed by a fixed random
+projection seeded from the model id. It has no learned weights, never updates,
+and keeps image/text relevance meaningful whenever image pixel content mirrors
+text (the synthetic datasets in synthetic.py do exactly that). A wrapper for a
+real contrastive checkpoint provides the same four names. `EmbeddingCache`
+keeps one encoder's image vectors and refuses any other encoder.
 
 Embeddings are stored unnormalized; metric code normalizes on demand.
 """
@@ -16,32 +17,13 @@ Embeddings are stored unnormalized; metric code normalizes on demand.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
-
-
-@dataclass
-class VisualEmbedding:
-    vector: np.ndarray
-    model_id: str
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ConfigurationError("embedding vector must be 1-D")
-
-    @property
-    def dim(self):
-        return self.vector.shape[0]
-
-
-class TextEmbedding(VisualEmbedding):
-    pass
+from .errors import CompatibilityError, ConfigurationError, InputError
 
 
 # ---------------------------------------------------------------------------
@@ -77,30 +59,20 @@ def load_raster(image_ref):
         raise InputError(f"cannot decode image {image_ref}: {exc}", ref=str(image_ref))
 
 
+# one header token after whitespace and comments, which run to a newline or EOF
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
 def _parse_netpbm(data):
     magic = data[:2].decode()
     pos = 2
     fields = []
-
-    def next_token():
-        nonlocal pos
-        while True:
-            while pos < len(data) and data[pos: pos + 1].isspace():
-                pos += 1
-            if pos < len(data) and data[pos: pos + 1] == b"#":
-                while pos < len(data) and data[pos: pos + 1] != b"\n":
-                    pos += 1
-                continue
-            break
-        start = pos
-        while pos < len(data) and not data[pos: pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated header")
-        return data[start:pos]
-
     while len(fields) < 3:
-        fields.append(int(next_token()))
+        match = _HEADER_TOKEN.match(data, pos)
+        if match is None:
+            raise ValueError("truncated header")
+        fields.append(int(match[1]))
+        pos = match.end()
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise ValueError("bad dimensions")
@@ -176,20 +148,15 @@ class HashedNgramEncoder:
             counts = counts / total
         return counts @ self.projection
 
-    def truncate_text(self, text):
-        return " ".join(text.split()[: self.max_text_tokens])
-
     def encode_text(self, text):
         if not text or not text.strip():
             raise InputError("cannot encode empty text", ref=text)
-        vec = self._project(self._bucket_counts(self.truncate_text(text)))
-        return TextEmbedding(vector=vec, model_id=self.model_id)
+        return self._project(self._bucket_counts(
+            " ".join(text.split()[: self.max_text_tokens])))
 
     def encode_image(self, image_ref):
         pixels = load_raster(image_ref)
-        chars = pixels.tobytes().decode("latin-1")
-        vec = self._project(self._bucket_counts(chars))
-        return VisualEmbedding(vector=vec, model_id=self.model_id)
+        return self._project(self._bucket_counts(pixels.tobytes().decode("latin-1")))
 
     def checksum(self):
         return hashlib.sha256(self.projection.tobytes() + self.model_id.encode()
@@ -202,14 +169,18 @@ class HashedNgramEncoder:
 
 
 class EmbeddingCache:
-    """Image embeddings of one encoder, kept in memory by image_ref."""
+    """Image embeddings of the encoder `model_id`, kept in memory by image_ref."""
 
     def __init__(self, model_id):
         self.model_id = model_id
         self.entries = {}
 
     def image_embedding(self, encoder, image_ref):
+        """The cached vector of `image_ref`; another encoder's raises CompatibilityError."""
+        if encoder.model_id != self.model_id:
+            raise CompatibilityError(f"embedding cache of {self.model_id} asked for an "
+                                     f"embedding of {encoder.model_id}")
         key = str(image_ref)
         if key not in self.entries:
-            self.entries[key] = encoder.encode_image(image_ref).vector
-        return VisualEmbedding(vector=self.entries[key], model_id=self.model_id)
+            self.entries[key] = encoder.encode_image(image_ref)
+        return self.entries[key]

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint
-from .encoding import VisualEmbedding
 from .errors import ConfigurationError, TrainingDiverged
 from .nn import masked_cross_entropy
 
@@ -80,12 +79,12 @@ class PrefixMapper:
         dh = self.act_bwd(da, ca)
         return self.fc1.backward(dh, c1)
 
-    def map_prefix(self, embedding: VisualEmbedding) -> np.ndarray:
-        """The (prefix_length, lm_embed_dim) prefix of one embedding."""
-        if embedding.dim != self.config.input_dim:
-            raise ConfigurationError(
-                f"embedding dim {embedding.dim} != mapper input_dim {self.config.input_dim}")
-        prefix, _ = self.forward_batch(embedding.vector[None, :])
+    def map_prefix(self, embedding: np.ndarray) -> np.ndarray:
+        """The (prefix_length, lm_embed_dim) prefix of one (input_dim,) embedding."""
+        if np.shape(embedding) != (self.config.input_dim,):
+            raise ConfigurationError(f"embedding shape {np.shape(embedding)} != "
+                                     f"mapper input ({self.config.input_dim},)")
+        prefix, _ = self.forward_batch(np.asarray(embedding)[None, :])
         return prefix[0]
 
     def save(self, directory, extra_manifest=None):
@@ -164,9 +163,9 @@ def train_mapper(pairs, encoder, base_lm, cfg: MapperTrainConfig,
     captions = []
     for i, pair in enumerate(pairs):
         if embedding_cache is not None:
-            embeddings[i] = embedding_cache.image_embedding(encoder, pair.image_ref).vector
+            embeddings[i] = embedding_cache.image_embedding(encoder, pair.image_ref)
         else:
-            embeddings[i] = encoder.encode_image(pair.image_ref).vector
+            embeddings[i] = encoder.encode_image(pair.image_ref)
         cap = base_lm.tokenizer.encode(pair.caption_text, add_eos=True)
         captions.append(cap[: max_total - p])
 

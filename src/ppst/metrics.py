@@ -151,12 +151,8 @@ def chrf_pp(candidate, references):
 # CLIPScore
 
 
-def clip_score(image_emb, text_emb, w=2.5):
-    """w * max(cosine(image, text), 0). Both embeddings must share a model_id."""
-    if image_emb.model_id != text_emb.model_id:
-        raise ConfigurationError(
-            f"embedding model mismatch: {image_emb.model_id} vs {text_emb.model_id}")
-    u, v = image_emb.vector, text_emb.vector
+def clip_score(u, v, w=2.5):
+    """w * max(cosine(u, v), 0) of an image and a text vector from one encoder."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
         return 0.0
@@ -304,15 +300,14 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
         if encoder is not None:
             try:
                 image_emb = encoder.encode_image(image_ref)
-                text_emb = encoder.encode_text(story) if story.strip() else None
-                if text_emb is not None:
-                    raw = clip_score(image_emb, text_emb, clip_weight)
+                if story.strip():
+                    raw = clip_score(image_emb, encoder.encode_text(story), clip_weight)
                     row["CLIPScore"] = 100.0 * raw
                     report.item_meta[item_id]["clip_score_raw"] = raw
                     window = getattr(encoder, "max_text_tokens", None)
                     if window is not None and len(story.split()) > window:
                         report.item_meta[item_id]["clip_text_truncated_to"] = window
-            except PpstError as exc:      # an unreadable image, mismatched embeddings
+            except PpstError as exc:      # an unreadable image
                 report.diagnostics.append({"item_id": item_id, "image_ref": image_ref,
                                            "clip_score_error": str(exc)})
         report.per_item[item_id] = row

@@ -6,7 +6,7 @@ import pytest
 
 from ppst.cli import main
 from ppst.corpus import save_caption_pairs
-from ppst.synthetic import make_book_files, make_caption_dataset
+from ppst.synthetic import make_book_files, make_caption_dataset, render_text_image
 
 
 def workspace_config(root, run_name="runs"):
@@ -210,7 +210,6 @@ def test_rebuilt_base_lm_leaves_no_downstream_run_up_to_date(tmp_path, capsys):
 
 
 def test_replaced_caption_image_leaves_mapper_not_up_to_date(tmp_path, capsys):
-    from ppst.synthetic import render_text_image
     config_path, _ = build_workspace(tmp_path)
     for argv in (["build-corpus"], ["train-mapper"]):
         assert main(["--config", str(config_path), *argv]) == 0
@@ -515,6 +514,50 @@ def test_evaluate_uses_scorer_endpoint_from_environment(trained, tmp_path,
     assert corpus, "external metrics never landed in any corpus row"
     assert corpus[0]["metrics"]["BERTScore"] == pytest.approx(0.42)
     assert corpus[0]["unavailable"] == []
+
+
+def evaluate_one_image(tmp_path, caption="a red cat on the table"):
+    """(image, evaluate argv) for one record whose story is the image's caption,
+    in a workspace with no upstream runs."""
+    image = render_text_image(tmp_path / "img.pgm", caption)
+    line = {"image_ref": str(image), "story": caption, "caption": caption}
+    for name in ("records.jsonl", "gold.jsonl"):
+        (tmp_path / name).write_text(json.dumps(line) + "\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(workspace_config(tmp_path)))
+    return image, ["--config", str(config_path), "evaluate", "--records",
+                   str(tmp_path / "records.jsonl"), "--gold", str(tmp_path / "gold.jsonl")]
+
+
+def evaluate_corpus_row(tmp_path):
+    (run_dir,) = run_dirs(workspace_config(tmp_path), "evaluate-")
+    return json.loads((run_dir / "reports" / "report.jsonl").read_text().splitlines()[-1])
+
+
+def test_image_replaced_at_the_same_path_leaves_evaluate_not_up_to_date(tmp_path, capsys):
+    image, evaluate = evaluate_one_image(tmp_path)
+    assert main(evaluate) == 0
+    before = evaluate_corpus_row(tmp_path)["metrics"]["CLIPScore"]
+    render_text_image(image, "squad throttle crossfire recon patrol")
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert not skipped("evaluate", capsys.readouterr().out)
+    assert evaluate_corpus_row(tmp_path)["metrics"]["CLIPScore"] != before
+    assert main(evaluate) == 0
+    assert skipped("evaluate", capsys.readouterr().out)
+
+
+def test_deleted_image_is_a_clip_score_diagnostic(tmp_path, capsys):
+    image, evaluate = evaluate_one_image(tmp_path)
+    assert main(evaluate) == 0
+    image.unlink()
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert not skipped("evaluate", capsys.readouterr().out)
+    corpus = evaluate_corpus_row(tmp_path)
+    assert "CLIPScore" not in corpus["metrics"] and "ROUGE-L" in corpus["metrics"]
+    (error,) = corpus["diagnostics"]
+    assert error["item_id"] == "item00000" and str(image) in error["clip_score_error"]
 
 
 def test_entry_point_runs_as_subprocess(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
                       make_tiny_lm)
 from ppst.corpus import ImageCaptionPair
-from ppst.encoding import VisualEmbedding
-from ppst.errors import ConfigurationError
+from ppst.encoding import EmbeddingCache
+from ppst.errors import CompatibilityError, ConfigurationError
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, build_prefix_batch,
                          prefix_batch_loss, train_mapper)
 from ppst.nn import masked_cross_entropy
@@ -24,8 +24,7 @@ class StubEncoder:
     def encode_image(self, image_ref):
         digest = hashlib.blake2b(str(image_ref).encode(), digest_size=8).digest()
         rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        return VisualEmbedding(vector=rng.standard_normal(self.embed_dim),
-                               model_id=self.model_id)
+        return rng.standard_normal(self.embed_dim)
 
     def checksum(self):
         return self.model_id
@@ -40,7 +39,7 @@ def small_mapper(input_dim=4, lm_embed_dim=8, hidden=6, prefix_length=3, seed=0)
 def test_default_prefix_length_is_10():
     cfg = MapperConfig(input_dim=16, lm_embed_dim=8)
     mapper = PrefixMapper(cfg, seed=0)
-    emb = VisualEmbedding(vector=np.ones(16), model_id="m")
+    emb = np.ones(16)
     assert mapper.map_prefix(emb).shape == (10, 8)
 
 
@@ -48,14 +47,14 @@ def test_zero_input_zero_bias_gives_zero_prefix():
     mapper = small_mapper()
     mapper.fc1.b.value[...] = 0.0
     mapper.fc2.b.value[...] = 0.0
-    emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
+    emb = np.zeros(4)
     assert np.array_equal(mapper.map_prefix(emb), np.zeros((3, 8)))
 
 
 def test_dimension_mismatch_rejected():
     mapper = small_mapper(input_dim=4)
     with pytest.raises(ConfigurationError):
-        mapper.map_prefix(VisualEmbedding(vector=np.ones(5), model_id="m"))
+        mapper.map_prefix(np.ones(5))
 
 
 def test_row_major_reshape():
@@ -63,7 +62,7 @@ def test_row_major_reshape():
     flat = np.arange(3 * 8, dtype=float)
     mapper.fc2.w.value[...] = 0.0
     mapper.fc2.b.value[...] = flat
-    emb = VisualEmbedding(vector=np.zeros(4), model_id="m")
+    emb = np.zeros(4)
     assert np.array_equal(mapper.map_prefix(emb), flat.reshape(3, 8))
 
 
@@ -157,6 +156,18 @@ def test_train_mapper_rejects_empty_dataset(tiny_lm):
         train_mapper([], StubEncoder(), tiny_lm, MapperTrainConfig())
 
 
+def test_train_mapper_refuses_another_encoders_cache(tiny_lm):
+    encoder = StubEncoder(4)
+    cache = EmbeddingCache("stub-8")
+    pairs = [ImageCaptionPair(f"r{i}", "w4 w5") for i in range(4)]
+    with pytest.raises(CompatibilityError, match="stub-8"):
+        train_mapper(pairs, encoder, tiny_lm,
+                     MapperTrainConfig(max_epochs=1, batch_size=4, max_seq_len=16),
+                     MapperConfig(input_dim=4, lm_embed_dim=8, hidden_dim=4, prefix_length=2),
+                     embedding_cache=cache)
+    assert cache.entries == {}
+
+
 def test_train_mapper_aborts_on_non_finite_loss(tiny_lm):
     import warnings
     from ppst.errors import TrainingDiverged
@@ -177,7 +188,7 @@ def test_checkpoint_round_trip(tmp_path):
                                                  "lm_id": "toy", "final_loss": 1.5})
     loaded = PrefixMapper.load(tmp_path / "ck")
     assert loaded.config == mapper.config
-    emb = VisualEmbedding(vector=np.ones(4), model_id="m")
+    emb = np.ones(4)
     assert np.allclose(loaded.map_prefix(emb), mapper.map_prefix(emb),
                        atol=1e-6)
     from ppst.artifacts import read_manifest

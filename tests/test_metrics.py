@@ -7,8 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ppst.encoding import TextEmbedding, VisualEmbedding
-from ppst.errors import ConfigurationError, ProtocolError, ScorerUnavailable
+from ppst.errors import ProtocolError, ScorerUnavailable
 from ppst.metrics import (EXTERNAL_METRICS, REPORT_COLUMNS, MetricReport, chrf_pp,
                           clip_score, evaluate_run, external_score, lcs_length, rouge_l,
                           tokenize)
@@ -166,30 +165,24 @@ def test_scores_zero_iff_no_overlap():
 # CLIPScore
 
 
-def emb(vec, model_id="m", text=False):
-    cls = TextEmbedding if text else VisualEmbedding
-    return cls(vector=np.asarray(vec, dtype=float), model_id=model_id)
+def emb(vec):
+    return np.asarray(vec, dtype=float)
 
 
 def test_clip_score_identical_direction():
-    assert clip_score(emb([1, 0]), emb([2, 0], text=True)) == pytest.approx(2.5)
+    assert clip_score(emb([1, 0]), emb([2, 0])) == pytest.approx(2.5)
 
 
 def test_clip_score_orthogonal_and_negative_clamped():
-    assert clip_score(emb([1, 0]), emb([0, 1], text=True)) == 0.0
-    assert clip_score(emb([1, 0]), emb([-1, 0], text=True)) == 0.0
+    assert clip_score(emb([1, 0]), emb([0, 1])) == 0.0
+    assert clip_score(emb([1, 0]), emb([-1, 0])) == 0.0
 
 
 def test_clip_score_scale_invariant():
     rng = np.random.default_rng(3)
     u, v = rng.standard_normal(8), rng.standard_normal(8)
-    base = clip_score(emb(u), emb(v, text=True))
-    assert clip_score(emb(3.7 * u), emb(0.2 * v, text=True)) == pytest.approx(base)
-
-
-def test_clip_score_model_mismatch():
-    with pytest.raises(ConfigurationError):
-        clip_score(emb([1, 0], "a"), emb([1, 0], "b", text=True))
+    base = clip_score(u, v)
+    assert clip_score(3.7 * u, 0.2 * v) == pytest.approx(base)
 
 
 # ---------------------------------------------------------------------------

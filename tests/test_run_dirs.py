@@ -4,6 +4,7 @@ Every test that damages or replaces an artifact works on its own copy of one
 shared pipeline run.
 """
 
+import errno
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ from ppst import cli
 from ppst.artifacts import run_lock
 from ppst.errors import ConfigurationError
 from ppst.lm import CausalTransformerLM
-from test_cli import build_workspace, run_dirs
+from test_cli import build_workspace, grow_action_book, run_dirs, skipped
 
 
 def run(config_path, *argv):
@@ -119,6 +120,100 @@ def test_rejected_input_creates_no_run_dir(workspace, tmp_path):
                "--gold", str(gold)) == 2
     assert run(config_path, "generate", "--style", "teen", "--images", str(images)) == 2
     assert run_dirs(cfg, "evaluate-") == [] and run_dirs(cfg, "generate-") == []
+
+
+def run_files(run_dir):
+    """{relative path: bytes} of every file under a run dir."""
+    return {str(f.relative_to(run_dir)): f.read_bytes()
+            for f in sorted(run_dir.rglob("*")) if f.is_file()}
+
+
+def is_complete(run_dir):
+    manifest = run_dir / "manifest.json"
+    return manifest.exists() and json.loads(manifest.read_text())["status"] == "complete"
+
+
+def count_replaces(monkeypatch, fail_at=None):
+    """Count `os.replace` calls; the `fail_at`-th one raises OSError instead."""
+    real, calls = os.replace, []
+
+    def replace(src, dst, **kwargs):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError(errno.EIO, "injected I/O error", str(dst))
+        return real(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+def sweep_commit_faults(run_dir, config_path, argv, old_is_up_to_date, monkeypatch, capsys,
+                        tmp_path):
+    """Fail each `os.replace` of the commit of `argv` in turn over the complete run
+    in `run_dir`. Each failure exits 2 without a traceback and leaves either no
+    complete manifest or the previous run, byte for byte and still up to date;
+    never a complete manifest over mixed outputs. Returns the number of replaces."""
+    old = run_files(run_dir)
+    saved = tmp_path / "saved-run"
+    shutil.copytree(run_dir, saved)
+    calls = count_replaces(monkeypatch)
+    assert run(config_path, *argv) == 0
+    monkeypatch.undo()
+    assert is_complete(run_dir) and run_files(run_dir) != old
+    for k in range(1, len(calls) + 1):
+        shutil.rmtree(run_dir)
+        shutil.copytree(saved, run_dir)
+        count_replaces(monkeypatch, fail_at=k)
+        capsys.readouterr()
+        assert run(config_path, *argv) == 2, k
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert "injected I/O error" in err and "Traceback" not in err, err
+        if is_complete(run_dir):
+            assert run_files(run_dir) == old and old_is_up_to_date(), k
+        assert run(config_path, *argv) == 0 and is_complete(run_dir), k
+    return len(calls)
+
+
+def test_failed_build_corpus_commit_keeps_previous_run_or_none(tmp_path, monkeypatch,
+                                                               capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    assert run(config_path, "build-corpus") == 0
+    (run_dir,) = run_dirs(cfg, "build-corpus-")
+    book = tmp_path / "books" / "Steel Convoy.txt"
+    text = book.read_bytes()
+    grow_action_book(tmp_path)
+
+    def old_is_up_to_date():
+        grown = book.read_bytes()
+        book.write_bytes(text)
+        capsys.readouterr()
+        try:
+            return run(config_path, "build-corpus") == 0 and \
+                skipped("build-corpus", capsys.readouterr().out)
+        finally:
+            book.write_bytes(grown)
+
+    # three outputs, then the manifest
+    assert sweep_commit_faults(run_dir, config_path, ["build-corpus"], old_is_up_to_date,
+                               monkeypatch, capsys, tmp_path) == 4
+
+
+def test_failed_generate_commit_keeps_previous_run_or_none(workspace, tmp_path, monkeypatch,
+                                                           capsys):
+    config_path, cfg, images = workspace
+    generate = ["generate", "--style", "romance", "--images", str(images)]
+    assert run(config_path, *generate) == 0
+    (run_dir,) = run_dirs(cfg, "generate-romance-")
+
+    def old_is_up_to_date():
+        capsys.readouterr()
+        return run(config_path, *generate) == 0 and \
+            skipped("generate", capsys.readouterr().out)
+
+    # the records directory, then the manifest
+    assert sweep_commit_faults(run_dir, config_path, ["--force", *generate],
+                               old_is_up_to_date, monkeypatch, capsys, tmp_path) == 2
 
 
 # ---------------------------------------------------------------------------
