@@ -38,8 +38,9 @@ romance_set, _ = train_adapter(romance, base, adapt)
 action_set, _ = train_adapter(action, base, adapt)
 assert base.checksum() == checksum, "base LM must not change"
 print(f"  base LM untouched (checksum {checksum[:12]}... unchanged)")
-print(f"  adapter parameters: {romance_set.param_count()} "
-      f"({100 * romance_set.param_count() / param_count(base.params()):.1f}% of the LM)")
+adapter_params = param_count(romance_set.params())
+print(f"  adapter parameters: {adapter_params} "
+      f"({100 * adapter_params / param_count(base.params()):.1f}% of the LM)")
 
 plain = StyledLanguageModel(base, None, "plain")
 romance_lm = attach(base, romance_set)

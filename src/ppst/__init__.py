@@ -18,9 +18,9 @@ from .corpus import (CANONICAL_GENRES, GenreCatalog, ImageCaptionPair, StyledPas
                      subsample)
 from .encoding import EmbeddingCache, HashedNgramEncoder
 from .errors import (CompatibilityError, ConfigurationError, InputError, PpstError,
-                     ProtocolError, ScorerUnavailable, TrainingDiverged)
+                     ScorerUnavailable, TrainingDiverged)
 from .generation import DecodeConfig, GenerationRecord, generate
-from .lm import CausalTransformerLM, LmConfig, perplexity
+from .lm import CausalTransformerLM, LmConfig
 from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from .metrics import (MetricReport, chrf_pp, clip_score, evaluate_run, external_score,
                       rouge_l)

@@ -13,6 +13,7 @@ non-styled comparison system (all LM parameters trained, no adapters).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, asdict
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint, tensors_fingerprint
 from .errors import CompatibilityError, ConfigurationError, TrainingDiverged
-from .lm import CausalTransformerLM, perplexity, sequence_nll, teacher_forced_batch
+from .lm import CausalTransformerLM, sequence_nll, teacher_forced_batch
 from .nn import masked_cross_entropy
 
 
@@ -98,9 +99,6 @@ class StyleAdapterSet:
         for i, block in enumerate(self.blocks):
             out.update(block.params(f"adapter{i}"))
         return out
-
-    def param_count(self):
-        return nn.param_count(self.params())
 
     def save(self, directory, extra_manifest=None):
         return save_checkpoint(directory, "style_adapter_set", self.params(), {
@@ -214,7 +212,9 @@ class StyledLanguageModel:
         return logits[:, -1], self.base_lm.past_kv(cache)
 
     def perplexity(self, token_lists):
-        return perplexity(self.base_lm, token_lists, self.adapters)
+        """exp(mean NLL per token); lower is a better fit."""
+        nll, count = sequence_nll(self.base_lm, token_lists, self.adapters)
+        return float(np.exp(nll / max(count, 1)))
 
     def decode(self, token_ids):
         return self.base_lm.tokenizer.decode(token_ids)
@@ -281,7 +281,7 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
             del logits
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"{label}: non-finite loss at epoch {epoch}")
-            lm.backward_tokens(dlogits, cache, adapters)
+            lm.backward_tokens(dlogits, cache)
             del cache, dlogits    # so no two batches' caches are ever alive at once
             optimizer.step()
             epoch_losses.append(loss)
@@ -332,7 +332,7 @@ def train_full_finetune(passages, base_lm, cfg: AdapterTrainConfig):
     """
     if not passages:
         raise ConfigurationError("train_full_finetune requires a non-empty passage set")
-    tuned = base_lm.clone()
+    tuned = copy.deepcopy(base_lm)
     tuned.lm_id = f"{base_lm.lm_id}+book-finetune"
     return tuned, train_on_texts([p.text for p in passages], tuned, cfg, "full-finetune")
 
@@ -342,7 +342,7 @@ def train_on_texts(texts, lm, cfg: AdapterTrainConfig, label="text-corpus"):
 
     Gives a fresh toy LM its base language knowledge (passage and caption
     text) before mapper or adapter training; `train_full_finetune` runs it
-    on a clone.
+    on a deep copy.
     """
     token_lists = [lm.tokenizer.encode(t) for t in texts]
     return _train_text_model(token_lists, lm, lm.params(), None, cfg, label)

@@ -94,7 +94,7 @@ def fingerprint_file(path):
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as exc:
-        raise InputError(f"{path} is unreadable: {exc}", ref=str(path)) from None
+        raise InputError(f"{path} is unreadable: {exc}") from None
 
 
 def fingerprint_json(obj):
@@ -106,7 +106,7 @@ def read_json(path):
     try:
         return json.loads(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
-        raise InputError(f"{path} is unreadable or corrupt: {exc}", ref=str(path)) from None
+        raise InputError(f"{path} is unreadable or corrupt: {exc}") from None
 
 
 def read_text(path):
@@ -114,7 +114,7 @@ def read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path} is unreadable or not UTF-8: {exc}", ref=str(path)) from None
+        raise InputError(f"{path} is unreadable or not UTF-8: {exc}") from None
 
 
 def read_jsonl(path, parse):
@@ -127,7 +127,7 @@ def read_jsonl(path, parse):
     try:
         fh = open(path, "rb")
     except OSError as exc:
-        raise InputError(f"{path} is unreadable: {exc}", ref=str(path)) from None
+        raise InputError(f"{path} is unreadable: {exc}") from None
     with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -136,8 +136,7 @@ def read_jsonl(path, parse):
                 row = parse(json.loads(line))
             except (KeyError, ValueError, TypeError, InputError) as exc:
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise InputError(f"{path}, line {lineno}: {detail}",
-                                 ref=f"{path}:{lineno}") from None
+                raise InputError(f"{path}, line {lineno}: {detail}") from None
             if row is not None:
                 out.append(row)
     return out
@@ -150,18 +149,22 @@ def write_jsonl(path, rows):
 
 
 def write_manifest(directory, manifest):
-    """Write manifest.json through a temp file, so a reader sees all of it or none."""
+    """Write manifest.json through a temp file, so a reader sees all of it or none.
+    A failed write leaves no temp file, which would look like a manifest."""
     path = Path(directory) / MANIFEST_FILE
     tmp = path.with_name(MANIFEST_FILE + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_manifest(directory):
     path = Path(directory) / MANIFEST_FILE
     manifest = read_json(path) if path.exists() else None
     if manifest is not None and not isinstance(manifest, dict):
-        raise InputError(f"{path} is not a JSON object", ref=str(path))
+        raise InputError(f"{path} is not a JSON object")
     return manifest
 
 
@@ -280,8 +283,7 @@ class Stage:
     def require(self):
         """The run dir of a complete run, for a downstream stage to read."""
         if self._complete_manifest() is None:
-            raise InputError(f"no complete run in {self.dir}; run `{self.command}` first",
-                             ref=str(self.dir))
+            raise InputError(f"no complete run in {self.dir}; run `{self.command}` first")
         return self.dir
 
     @contextlib.contextmanager

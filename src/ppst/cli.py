@@ -123,8 +123,7 @@ def _check_type(name, default, value):
     if not ok:
         expected = " or ".join({type(None): "null", list: "a list of strings"}.get(
             t, t.__name__) for t in accepted)
-        raise InputError(f"config key {name} must be {expected}, not {json.dumps(value)}",
-                         ref=name)
+        raise InputError(f"config key {name} must be {expected}, not {json.dumps(value)}")
 
 
 def _merge(base, override, section=None):
@@ -133,12 +132,12 @@ def _merge(base, override, section=None):
     other value with the type of its default."""
     if not isinstance(override, dict):
         what = f"section {section}" if section else "the config file"
-        raise InputError(f"{what} is not a JSON object", ref=section)
+        raise InputError(f"{what} is not a JSON object")
     out = copy.deepcopy(base)
     for key, value in override.items():
         name = f"{section}.{key}" if section else key
         if key not in base:
-            raise InputError(f"unknown config key {name}", ref=name)
+            raise InputError(f"unknown config key {name}")
         if isinstance(base[key], dict):
             value = _merge(base[key], value, name)
         else:
@@ -152,7 +151,7 @@ def load_config(path, seed=None):
     for style in cfg["adapters"]["styles"]:     # a style names run dirs: a plain name
         if style in ("", ".", "..") or {"/", os.sep, os.altsep} & set(style):
             raise InputError("config key adapters.styles must hold plain names, not "
-                             f"{json.dumps(style)}", ref="adapters.styles")
+                             f"{json.dumps(style)}")
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -160,10 +159,10 @@ def load_config(path, seed=None):
 
 def _require(path, what):
     if path is None:
-        raise InputError(f"config does not name {what}", ref=what)
+        raise InputError(f"config does not name {what}")
     p = Path(path)
     if not p.exists():
-        raise InputError(f"{what} not found: {p}", ref=str(p))
+        raise InputError(f"{what} not found: {p}")
     return p
 
 
@@ -274,7 +273,8 @@ def ensure_base_lm(cfg):
     passages, captions = _read_corpus(cfg)
     texts = [p.text for p in passages] + [c.caption_text for c in captions]
     if not texts:
-        raise InputError("no corpus text to build a base LM from", ref="corpus")
+        raise InputError(f"no corpus text in {_stage(cfg, 'build-corpus').dir} to build "
+                         "a base LM from")
     input_fp = fingerprint_json(texts)
     if not stage.skip(input_fp):
         with stage.run(input_fp) as (out, manifest):
@@ -304,7 +304,7 @@ def ensure_base_lm(cfg):
 def cmd_train_mapper(cfg, force=False):
     _, captions = _read_corpus(cfg)
     if not captions:
-        raise InputError("caption dataset is empty", ref="captions.jsonl")
+        raise InputError(f"caption dataset of {_stage(cfg, 'build-corpus').dir} is empty")
     encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
@@ -339,7 +339,7 @@ def cmd_train_mapper(cfg, force=False):
 def _check_style(cfg, style, *more):
     known = cfg["adapters"]["styles"] + ["non-styled", *more]
     if style not in known:
-        raise InputError(f"unknown style {style!r}; configured: {known}", ref=style)
+        raise InputError(f"unknown style {style!r}; configured: {known}")
 
 
 def cmd_train_adapter(cfg, style, force=False):
@@ -349,7 +349,7 @@ def cmd_train_adapter(cfg, style, force=False):
     if style != "non-styled":
         passages = corpus_mod.filter_by_style(passages, style)
     if not passages:
-        raise InputError(f"no passages for style {style!r}", ref=style)
+        raise InputError(f"no passages for style {style!r}")
     lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
 
@@ -408,7 +408,7 @@ def _list_images(images):
     files = (sorted(p for p in path.iterdir() if p.suffix.lower() in suffixes and p.is_file())
              if path.is_dir() else [path])
     if not files:
-        raise InputError(f"no images found under {images}", ref=str(images))
+        raise InputError(f"no images found under {images}")
     return files
 
 
@@ -480,7 +480,7 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
         image_ref=rec["image_ref"], story_text=rec["story"], style=rec.get("style", ""))
         if "story" in rec else None)
     if not rows:
-        raise InputError(f"no evaluable records in {records_path}", ref=str(records_path))
+        raise InputError(f"no evaluable records in {records_path}")
 
     references = {}
     for pair in corpus_mod.load_caption_pairs(gold_path):
@@ -498,8 +498,8 @@ def cmd_evaluate(cfg, records_path, gold_path, force=False):
     report = evaluate_run(rows, references, encoder=HashedNgramEncoder(**cfg["encoder"]),
                           scorer_endpoint=os.environ.get(SCORER_ENDPOINT_ENV), **cfg["eval"])
     if not report.per_item:
-        raise InputError("no record had gold references; nothing to evaluate",
-                         ref=str(records_path))
+        raise InputError(f"no record of {records_path} has gold references in {gold_path}; "
+                         "nothing to evaluate")
 
     with stage.run(input_fp) as (out, manifest):
         (out / "reports").mkdir()

@@ -46,17 +46,18 @@ class StyledPassage:
 
     def __post_init__(self):
         if not (MIN_WORDS <= self.word_count <= MAX_WORDS):
-            raise InputError(f"passage word_count {self.word_count} outside "
-                             f"[{MIN_WORDS}, {MAX_WORDS}]", ref=self.source_title)
+            raise InputError(f"passage of {self.source_title!r}: word_count "
+                             f"{self.word_count} outside [{MIN_WORDS}, {MAX_WORDS}]")
         if self.word_count != len(self.text.split()):
-            raise InputError("word_count does not match text", ref=self.source_title)
+            raise InputError(f"passage of {self.source_title!r}: word_count does not "
+                             "match text")
         if not self.genres:
-            raise InputError("passage has no genre labels", ref=self.source_title)
+            raise InputError(f"passage of {self.source_title!r} has no genre labels")
         for g in self.genres:
             if g not in RECOGNIZED_GENRES:
-                raise InputError(f"unrecognized genre {g!r}", ref=self.source_title)
+                raise InputError(f"passage of {self.source_title!r}: unrecognized genre {g!r}")
         if _PARAGRAPH_BREAK.search(self.text):
-            raise InputError("passage text contains a paragraph break", ref=self.source_title)
+            raise InputError(f"passage of {self.source_title!r} contains a paragraph break")
 
 
 @dataclass
@@ -67,9 +68,9 @@ class ImageCaptionPair:
 
     def __post_init__(self):
         if not self.caption_text:
-            raise InputError("empty caption", ref=self.image_ref)
+            raise InputError(f"empty caption for {self.image_ref}")
         if self.split not in _SPLITS:
-            raise InputError(f"unknown split {self.split!r}", ref=self.image_ref)
+            raise InputError(f"unknown split {self.split!r} for {self.image_ref}")
 
 
 def normalize_title(title):
@@ -99,8 +100,7 @@ class GenreCatalog:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 2 tab-separated columns",
-                                 ref=str(path))
+                raise InputError(f"{path}:{lineno}: expected 2 tab-separated columns")
             title, genre_field = parts
             genres = [g.strip().casefold() for g in genre_field.split(";") if g.strip()]
             genres = [g if g in RECOGNIZED_GENRES else "other" for g in genres]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -34,33 +33,33 @@ def load_raster(image_ref):
     """Decode an image file into a uint8 array.
 
     NetPBM (P2/P3/P5/P6) is parsed natively; other formats go through Pillow
-    when it is installed. Anything unreadable raises InputError with the ref.
+    when it is installed. Anything unreadable raises InputError naming the file.
     """
     path = Path(image_ref)
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise InputError(f"cannot read image {image_ref}: {exc}", ref=str(image_ref))
+        raise InputError(f"cannot read image {image_ref}: {exc}")
     if data[:2] in (b"P2", b"P3", b"P5", b"P6"):
         try:
             return _parse_netpbm(data)
         except Exception as exc:
-            raise InputError(f"corrupt NetPBM image {image_ref}: {exc}", ref=str(image_ref))
+            raise InputError(f"corrupt NetPBM image {image_ref}: {exc}")
     try:
         from PIL import Image
     except ImportError:
-        raise InputError(f"unsupported image format for {image_ref} (install pillow)",
-                         ref=str(image_ref))
+        raise InputError(f"unsupported image format for {image_ref} (install pillow)")
     try:
         import io
         with Image.open(io.BytesIO(data)) as img:
             return np.asarray(img.convert("RGB"), dtype=np.uint8)
     except Exception as exc:
-        raise InputError(f"cannot decode image {image_ref}: {exc}", ref=str(image_ref))
+        raise InputError(f"cannot decode image {image_ref}: {exc}")
 
 
-# one header token after whitespace and comments, which run to a newline or EOF
-_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+# One header token after whitespace and comments, with a comment glued to its
+# end. A comment runs from "#" to a line end (CR or LF) or EOF.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?:[\r\n]|\Z))*([^\s#]+)(?:#[^\r\n]*)?")
 
 
 def _parse_netpbm(data):
@@ -81,13 +80,13 @@ def _parse_netpbm(data):
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
     if magic in ("P5", "P6"):
-        pos += 1  # single whitespace after maxval
+        pos += 1  # the one whitespace byte after maxval, or after its glued comment
         raw = data[pos: pos + count]
         if len(raw) != count:
             raise ValueError("truncated pixel data")
         pixels = np.frombuffer(raw, dtype=np.uint8)
     else:
-        values = data[pos:].split()
+        values = re.sub(rb"#[^\r\n]*", b" ", data[pos:]).split()
         if len(values) < count:
             raise ValueError("truncated pixel data")
         pixels = np.array([int(v) for v in values[:count]], dtype=np.int32)
@@ -150,18 +149,13 @@ class HashedNgramEncoder:
 
     def encode_text(self, text):
         if not text or not text.strip():
-            raise InputError("cannot encode empty text", ref=text)
+            raise InputError("cannot encode empty text")
         return self._project(self._bucket_counts(
             " ".join(text.split()[: self.max_text_tokens])))
 
     def encode_image(self, image_ref):
         pixels = load_raster(image_ref)
         return self._project(self._bucket_counts(pixels.tobytes().decode("latin-1")))
-
-    def checksum(self):
-        return hashlib.sha256(self.projection.tobytes() + self.model_id.encode()
-                              + struct.pack("<III", self.embed_dim, self.n_buckets,
-                                            self.max_text_tokens)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

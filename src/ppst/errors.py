@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error names the input it is about (file, file and line, config key or
+item) in its message, which is all the CLI prints.
+"""
 
 
 class PpstError(Exception):
@@ -10,11 +14,7 @@ class ConfigurationError(PpstError):
 
 
 class InputError(PpstError):
-    """Bad input data (unreadable image, empty text, ...). Carries the offending ref."""
-
-    def __init__(self, message, ref=None):
-        super().__init__(message)
-        self.ref = ref
+    """Bad input data (unreadable image, empty text, ...)."""
 
 
 class CompatibilityError(PpstError):
@@ -25,9 +25,5 @@ class TrainingDiverged(PpstError):
     """Non-finite loss encountered; training aborted."""
 
 
-class ProtocolError(PpstError):
-    """Malformed message on the external-scorer wire protocol."""
-
-
 class ScorerUnavailable(PpstError):
-    """External scorer endpoint could not be reached after retries."""
+    """External scorer could not score: unreachable after retries, or a malformed reply."""

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import nn
 from .errors import ConfigurationError
 
 NEG_INF = -np.inf
@@ -184,15 +185,6 @@ def top_k_filter(logits, k):
     return np.where(_token_mask(logits.shape, keep), logits, NEG_INF)
 
 
-def _log_softmax(x):
-    finite = np.isfinite(x)
-    if not finite.any(axis=-1).all():
-        raise ConfigurationError("no viable token after masking")
-    m = np.where(finite, x, NEG_INF).max(axis=-1, keepdims=True)
-    z = np.log(np.exp(np.where(finite, x - m, NEG_INF)).sum(axis=-1, keepdims=True))
-    return np.where(finite, x - m - z, NEG_INF)
-
-
 def step_log_probs(raw_logits, token_ids, cfg, eos_id):
     """Processed per-token log-probabilities for one step of every beam.
 
@@ -216,7 +208,11 @@ def step_log_probs(raw_logits, token_ids, cfg, eos_id):
     dead = ~np.isfinite(processed).any(axis=-1)
     if dead.any():                 # lift the n-gram block for these beams
         processed = np.where(dead[..., None], finish(x), processed)
-    return _log_softmax(processed), int(np.count_nonzero(dead))
+    finite = np.isfinite(processed)
+    if not finite.any(axis=-1).all():
+        raise ConfigurationError("no viable token after masking")
+    log_probs = nn.log_softmax(np.where(finite, processed, NEG_INF))
+    return log_probs, int(np.count_nonzero(dead))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ class CausalTransformerLM:
         `past`, the `past_kv` of an earlier call (one (k, v) per layer, each
         (B, H, S, dh)), puts the embeds at positions S..S+T-1 attending to the
         S cached ones: the logits equal one call over all S + T positions.
-        Backward needs `past=None`, which starts at position 0.
+        Backward needs `past=None`, which starts at position 0. The cache
+        records the adapters that ran, so backward goes through the same ones.
         """
         b, t, d = embeds.shape
         start = 0 if past is None else past[0][0].shape[2]
@@ -109,15 +110,15 @@ class CausalTransformerLM:
             caches.append((c, ac))
         hn, ln_cache = self.ln_f.forward(h)
         logits, head_cache = self.head.forward(hn)
-        return logits, (caches, ln_cache, head_cache)
+        return logits, (caches, ln_cache, head_cache, adapters)
 
     @staticmethod
     def past_kv(cache):
         """Per-layer (k, v) over every position of a `forward_embeds` cache."""
         return [attn_cache[2:4] for (_, attn_cache, _, _), _ in cache[0]]
 
-    def backward(self, dlogits, cache, adapters=None):
-        caches, ln_cache, head_cache = cache
+    def backward(self, dlogits, cache):
+        caches, ln_cache, head_cache, adapters = cache
         dh = self.ln_f.backward(self.head.backward(dlogits, head_cache), ln_cache)
         for i in reversed(range(len(self.blocks))):
             block_cache, adapter_cache = caches[i]
@@ -135,9 +136,9 @@ class CausalTransformerLM:
         logits, cache = self.forward_embeds(self.embed_tokens(ids), adapters)
         return logits, (cache, ids)
 
-    def backward_tokens(self, dlogits, cache, adapters=None):
+    def backward_tokens(self, dlogits, cache):
         inner, ids = cache
-        dembeds = self.backward(dlogits, inner, adapters)
+        dembeds = self.backward(dlogits, inner)
         if self.tok_emb.grad is not None:
             np.add.at(self.tok_emb.grad, ids, dembeds)
         return dembeds
@@ -158,14 +159,6 @@ class CausalTransformerLM:
         return load_checkpoint(directory, "causal_lm", lambda manifest: cls(
             LmConfig(**manifest["config"]), WordTokenizer.load(directory / "vocab.json"),
             seed=manifest.get("seed", 0), lm_id=manifest["lm_id"]))
-
-    def clone(self):
-        """Deep copy with independent parameters."""
-        twin = CausalTransformerLM(self.config, self.tokenizer, seed=self.seed,
-                                   lm_id=self.lm_id)
-        for name, param in twin.params().items():
-            param.value[...] = self.params()[name].value
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +198,3 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())
     return total_nll, total_tokens
-
-
-def perplexity(lm, token_lists, adapters=None):
-    """exp(mean NLL per token); lower is a better fit."""
-    nll, count = sequence_nll(lm, token_lists, adapters)
-    return float(np.exp(nll / max(count, 1)))

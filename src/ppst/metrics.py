@@ -8,9 +8,10 @@ averaged over orders), and CLIPScore (w * max(cos, 0), w = `clip_weight`,
 model-based text metrics (MoverScore, BERTScore, BLEURT, BARTScore) are
 delegated to an out-of-process scorer over a newline-delimited JSON protocol:
 `external_score(endpoint, "BLEURT", [(item_id, candidate, references), ...])`
-returns {item_id: score}. When the endpoint is absent, fails after retries, or
-replies with a line that is not UTF-8 JSON or has a non-finite score, those
-columns are reported as unavailable, never silently zeroed.
+returns {item_id: score}. A scorer that fails after retries, or replies with a
+line that is not UTF-8 JSON, has a non-finite score or scores other ids,
+raises ScorerUnavailable. Its columns are then reported as unavailable, as
+without an endpoint; they are never silently zeroed.
 
 Text tokenization for ROUGE-L: lowercase, punctuation split into separate
 tokens. ChrF++ is case-sensitive; its character n-grams ignore whitespace.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, PpstError, ProtocolError, ScorerUnavailable
+from .errors import ConfigurationError, PpstError, ScorerUnavailable
 
 REPORT_COLUMNS = ("ROUGE-L", "ChrF++", "MoverScore", "BERTScore", "BLEURT",
                   "BARTScore", "CLIPScore")
@@ -170,7 +171,8 @@ def external_score(endpoint, metric, items, timeout=10.0, attempts=3, backoff=0.
     Connection failures and timeouts are retried (attempts total); after the
     final failed attempt raises ScorerUnavailable. A reply line that is not
     UTF-8 JSON, has a non-finite score or does not score exactly the request
-    ids raises ProtocolError immediately.
+    ids raises ScorerUnavailable at once, without a retry; so does a request
+    that cannot be encoded as UTF-8.
     """
     if not items:
         return {}
@@ -184,7 +186,7 @@ def external_score(endpoint, metric, items, timeout=10.0, attempts=3, backoff=0.
     try:
         payload = payload.encode("utf-8")
     except UnicodeEncodeError as exc:           # a lone surrogate in a story
-        raise ProtocolError(f"scorer request is not UTF-8: {exc}") from None
+        raise ScorerUnavailable(f"scorer request is not UTF-8: {exc}") from None
     last_error = None
     for attempt in range(attempts):
         if attempt:
@@ -207,13 +209,14 @@ def _parse_response(raw, expected_ids):
     try:
         scores = {entry["id"]: float(entry["score"]) for entry in json.loads(raw)["scores"]}
     except (ValueError, TypeError, KeyError):      # UnicodeDecodeError is a ValueError
-        raise ProtocolError(f"malformed scorer response: {raw[:200]!r}") from None
+        raise ScorerUnavailable(f"malformed scorer response: {raw[:200]!r}") from None
     bad = sorted(repr(i) for i, score in scores.items() if not math.isfinite(score))
     if bad:
-        raise ProtocolError(f"scorer response has non-finite scores for {', '.join(bad)[:200]}")
+        raise ScorerUnavailable(
+            f"scorer response has non-finite scores for {', '.join(bad)[:200]}")
     if set(scores) != expected_ids:
         diff = ", ".join(sorted(map(repr, set(scores) ^ expected_ids)))
-        raise ProtocolError(
+        raise ScorerUnavailable(
             f"scorer response ids are not a permutation of the request ids: {diff[:200]}")
     return scores
 
@@ -321,7 +324,7 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
             continue
         try:
             scores = external_score(scorer_endpoint, metric, evaluable, timeout=scorer_timeout)
-        except (ScorerUnavailable, ProtocolError) as exc:
+        except ScorerUnavailable as exc:
             report.unavailable.append(metric)
             report.diagnostics.append({"metric": metric, "unavailable": str(exc)})
             continue

@@ -180,7 +180,7 @@ def test_freezing_the_lm_leaves_adapter_gradients_bit_equal(tiny_lm):
 
     def backward():
         _, cache = tiny_lm.forward_tokens(ids, adapter_set.blocks)
-        tiny_lm.backward_tokens(dlogits, cache, adapter_set.blocks)
+        tiny_lm.backward_tokens(dlogits, cache)
 
     unfrozen, frozen = grads_unfrozen_and_frozen(tiny_lm, adapter_set.params(), backward)
     for name, grad in unfrozen.items():
@@ -200,7 +200,7 @@ def test_adapter_parameter_count_is_small():
     lm = make_tiny_lm(n_words=40, d_model=32, d_ff=64, n_layer=2)
     adapter_set = StyleAdapterSet.create("romance", lm)
     from ppst.nn import param_count
-    assert adapter_set.param_count() < 0.05 * param_count(lm.params())
+    assert param_count(adapter_set.params()) < 0.05 * param_count(lm.params())
 
 
 def test_full_finetune_zero_epochs_is_identity(tiny_lm):
@@ -217,12 +217,23 @@ def test_full_finetune_learns_and_keeps_base_untouched():
     cfg = AdapterTrainConfig(max_epochs=3, batch_size=16, max_seq_len=72, seed=0,
                              val_fraction=0.0)
     tuned, log = train_full_finetune(romance, base, cfg)
-    assert base.checksum() == checksum           # clone, not in-place
+    assert base.checksum() == checksum           # a copy, not in-place
     assert log[2]["train_loss"] < log[0]["train_loss"]
     ids = [base.tokenizer.encode(romance[0].text)[0]]
     a = StyledLanguageModel(base, None, "plain").next_token_logits(None, ids)
     b = StyledLanguageModel(tuned, None, "full_finetune").next_token_logits(None, ids)
     assert not np.allclose(a, b)
+
+
+def test_full_finetune_tunes_a_copy_sharing_no_array(tiny_lm):
+    checksum = tiny_lm.checksum()
+    tuned, _ = train_full_finetune(make_style_passages("romance", 5, seed=0), tiny_lm,
+                                   AdapterTrainConfig(max_epochs=1, val_fraction=0.0))
+    assert tiny_lm.checksum() == checksum and tuned.checksum() != checksum
+    base_arrays = [a for p in tiny_lm.params().values() for a in (p.value, p.grad)]
+    for name, p in tuned.params().items():
+        for a in (p.value, p.grad):
+            assert not any(np.shares_memory(a, b) for b in base_arrays), name
 
 
 def test_adapter_checkpoint_round_trip(tmp_path, tiny_lm):
@@ -262,7 +273,7 @@ def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     def tracked(self, ids, adapters=None):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
         logits, cache = forward(self, ids, adapters)
-        (_, _, head_input), _ = cache
+        (_, _, head_input, _), _ = cache
         earlier[:] = [weakref.ref(logits), weakref.ref(head_input)]
         forwards.append(len(ids))
         return logits, cache

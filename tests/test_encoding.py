@@ -25,7 +25,7 @@ def test_text_encoding_deterministic(encoder):
     # the encoder is a function of its arguments: a rebuilt one is bit-equal
     twin = HashedNgramEncoder(embed_dim=32, n_buckets=256, max_text_tokens=8)
     assert np.array_equal(twin.encode_text("a photo of a cat"), a)
-    assert twin.checksum() == encoder.checksum()
+    assert np.array_equal(twin.projection, encoder.projection)
 
 
 def test_distinct_texts_distinct_vectors(encoder):
@@ -62,7 +62,7 @@ def test_corrupt_image_raises_input_error(tmp_path, encoder):
     bad.write_bytes(b"P5 10 10 255\n\x00\x01")   # truncated pixel data
     with pytest.raises(InputError) as err:
         encoder.encode_image(bad)
-    assert str(bad) in str(err.value.ref)
+    assert str(bad) in str(err.value)
 
 
 def test_missing_image_raises_input_error(tmp_path, encoder):
@@ -84,11 +84,12 @@ def test_matching_caption_beats_mismatch(tmp_path, encoder):
     assert match > mismatch
 
 
-def test_checksum_frozen_across_calls(tmp_path, encoder):
-    before = encoder.checksum()
+def test_projection_frozen_across_calls(tmp_path, encoder):
+    before = encoder.projection.copy()
     encoder.encode_text("a photo of a cat")
     encoder.encode_image(render_text_image(tmp_path / "x.pgm", "a dog"))
-    assert encoder.checksum() == before
+    assert np.array_equal(encoder.projection, before)
+    assert not encoder.projection.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ def test_16_bit_netpbm_rejected(tmp_path, name, data):
     path.write_bytes(data)
     with pytest.raises(InputError, match="maxval") as err:
         load_raster(path)
-    assert str(path) in str(err.value) and err.value.ref == str(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("name, data", [
@@ -137,7 +138,22 @@ def test_netpbm_sample_above_maxval_rejected(tmp_path, name, data):
     path.write_bytes(data)
     with pytest.raises(InputError, match="pixel out of range") as err:
         load_raster(path)
-    assert str(path) in str(err.value) and err.value.ref == str(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("data, pixels", [
+    (b"P2 3# width\n2 255\n0 10 20\n30 40 50\n", [[0, 10, 20], [30, 40, 50]]),
+    (b"P2 # a comment ended by CR\r2 1 255\r1 2\r", [[1, 2]]),
+    (b"P2 2 1 255\n# before the samples\n1 2#glued\n", [[1, 2]]),
+    (b"P3 1 1 255 # before the samples\r9 8 7\n", [[[9, 8, 7]]]),
+    (b"P5 2 1 255# glued to maxval\n" + bytes([7, 9]), [[7, 9]]),
+    (b"P5 2 1 255\n#\n", [[35, 10]]),             # one whitespace, then the raster
+], ids=["glued-header", "bare-CR", "before-samples", "P3-before-samples", "P5-glued",
+        "P5-raster-hash"])
+def test_netpbm_comments(tmp_path, data, pixels):
+    path = tmp_path / "commented.pnm"
+    path.write_bytes(data)
+    assert np.array_equal(load_raster(path), pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +190,7 @@ def _random_netpbm(rng):
                 parts.append(bytes(rng.choice(b" \t\n\r\x0b\x0c")
                                    for _ in range(rng.randrange(1, 3))))
             else:
-                parts.append(b"#" + junk() + rng.choice([b"\n"] * 6 + [b"\r\n", b""]))
+                parts.append(b"#" + junk() + rng.choice([b"\n"] * 6 + [b"\r\n", b"\r", b""]))
         return b"".join(parts)
 
     magic = rng.choice([b"P2", b"P3", b"P5", b"P6"])
@@ -192,7 +208,8 @@ def _random_netpbm(rng):
         body = sep() + bytes(rng.randrange(min(maxval, 255) + 2) % 256
                              for _ in range(max(count, 0)))
     else:
-        samples = (str(rng.randrange(maxval + 2)).encode() for _ in range(max(count, 0)))
+        samples = (str(rng.randrange(maxval + 2)).encode()      # rarely a comment after
+                   + (gap() if rng.random() < 0.05 else b"") for _ in range(max(count, 0)))
         body = sep() + (gap() if rng.random() < 0.1 else b"") + b" " + b" ".join(samples)
     data = header + body
     if rng.random() < 0.2:                       # cut anywhere, often inside a comment
@@ -213,7 +230,7 @@ def test_netpbm_header_pattern_matches_byte_lexer():
     r"""The header pattern and the byte-by-byte lexer of netpbm_oracle agree on
     random P2/P3/P5/P6 files: the same array, or the same error message.
 
-    Without the pattern's `(?:\n|\Z)` anchor, 9,560 of these 100,000 files
+    Without the pattern's `(?:[\r\n]|\Z)` anchor, 8,518 of these 100,000 files
     give another result, because a token is then matched inside a comment.
     """
     # Python 3.10 has neither atomic groups nor possessive quantifiers

@@ -158,6 +158,46 @@ def test_step_log_probs_are_normalized_and_non_positive():
         assert float(np.exp(finite).sum()) == pytest.approx(1.0)
 
 
+def reference_log_softmax(x):
+    """The log-softmax `step_log_probs` ran before it called `nn.log_softmax`:
+    non-finite entries are masked, and a row with none left raises."""
+    finite = np.isfinite(x)
+    if not finite.any(axis=-1).all():
+        raise ConfigurationError("no viable token after masking")
+    m = np.where(finite, x, -np.inf).max(axis=-1, keepdims=True)
+    z = np.log(np.exp(np.where(finite, x - m, -np.inf)).sum(axis=-1, keepdims=True))
+    return np.where(finite, x - m - z, -np.inf)
+
+
+def test_step_log_probs_bit_equal_to_reference_log_softmax():
+    """With every processor the identity, `step_log_probs` is the reference
+    log-softmax bit for bit (values and sign bits) on rows with -inf, NaN and
+    +inf entries, and raises on a row with no finite entry."""
+    rng = np.random.default_rng(16)
+    rows = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while rows < 12_000:
+            beams, vocab = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            cfg = small_cfg(temperature=1.0, repetition_penalty=1.0, min_length=0,
+                            top_k=vocab, length_decay_start=0)
+            raw = rng.standard_normal((beams, vocab)) * rng.choice([1e-3, 1.0, 30.0, 1e3])
+            kind = rng.random((beams, vocab))
+            raw[kind < 0.3] = -np.inf
+            raw[(0.3 <= kind) & (kind < 0.35)] = np.nan
+            raw[(0.35 <= kind) & (kind < 0.4)] = np.inf
+            raw[np.arange(beams), rng.integers(0, vocab, size=beams)] = rng.standard_normal(beams)
+            ids = np.zeros((beams, 0), dtype=np.intp)
+            got, relaxed = step_log_probs(raw, ids, cfg, eos_id=0)
+            want = reference_log_softmax(raw)
+            assert relaxed == 0
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), raw
+            rows += beams
+            raw[rng.integers(0, beams)] = rng.choice([-np.inf, np.nan, np.inf], size=vocab)
+            with pytest.raises(ConfigurationError, match="no viable token after masking"):
+                step_log_probs(raw, ids, cfg, eos_id=0)
+
+
 def needs_relaxation(ids, cfg, vocab, eos_id):
     """Brute force: the n-gram block and the min-length mask cover every token."""
     n = cfg.no_repeat_ngram

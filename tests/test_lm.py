@@ -3,7 +3,8 @@ import pytest
 
 from conftest import central_difference, grad_close
 from ppst.errors import ConfigurationError
-from ppst.lm import pad_batch, perplexity, teacher_forced_batch
+from ppst.adapters import StyledLanguageModel
+from ppst.lm import pad_batch, teacher_forced_batch
 from ppst.nn import masked_cross_entropy
 
 
@@ -102,14 +103,7 @@ def test_save_load_round_trip(tmp_path, tiny_lm):
     assert again.checksum() == loaded.checksum()
 
 
-def test_clone_is_independent(tiny_lm):
-    twin = tiny_lm.clone()
-    assert twin.checksum() == tiny_lm.checksum()
-    twin.head.b.value[0] += 1.0
-    assert twin.checksum() != tiny_lm.checksum()
-
-
 def test_perplexity_positive_and_finite(tiny_lm):
     token_lists = [[4, 5, 6], [7, 8]]
-    ppl = perplexity(tiny_lm, token_lists)
+    ppl = StyledLanguageModel(tiny_lm).perplexity(token_lists)
     assert np.isfinite(ppl) and ppl > 1.0

@@ -26,9 +26,6 @@ class StubEncoder:
         rng = np.random.default_rng(int.from_bytes(digest, "little"))
         return rng.standard_normal(self.embed_dim)
 
-    def checksum(self):
-        return self.model_id
-
 
 def small_mapper(input_dim=4, lm_embed_dim=8, hidden=6, prefix_length=3, seed=0):
     cfg = MapperConfig(input_dim=input_dim, lm_embed_dim=lm_embed_dim,

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ppst.errors import ProtocolError, ScorerUnavailable
+from ppst.errors import ScorerUnavailable
 from ppst.metrics import (EXTERNAL_METRICS, REPORT_COLUMNS, MetricReport, chrf_pp,
                           clip_score, evaluate_run, external_score, lcs_length, rouge_l,
                           tokenize)
@@ -263,10 +263,12 @@ def test_external_score_empty_items():
 
 
 def test_external_score_missing_id_is_protocol_error():
+    """A reply that breaks the protocol makes the scorer unavailable at once."""
     scorer = StubScorer(drop_first_id=True)
     try:
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ScorerUnavailable, match="not a permutation"):
             external_score(scorer.endpoint, "BLEURT", [("i0", "c", ["r"])])
+        assert len(scorer.requests) == 1          # no retry
     finally:
         scorer.close()
 
@@ -283,8 +285,9 @@ BAD_REPLIES = {
 def test_external_score_garbage_is_protocol_error(reply):
     scorer = StubScorer(reply=reply)
     try:
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ScorerUnavailable, match="malformed|non-finite"):
             external_score(scorer.endpoint, "BLEURT", [("i0", "c", ["r"])])
+        assert len(scorer.requests) == 1          # no retry
     finally:
         scorer.close()
 

@@ -152,7 +152,8 @@ def sweep_commit_faults(run_dir, config_path, argv, old_is_up_to_date, monkeypat
     """Fail each `os.replace` of the commit of `argv` in turn over the complete run
     in `run_dir`. Each failure exits 2 without a traceback and leaves either no
     complete manifest or the previous run, byte for byte and still up to date;
-    never a complete manifest over mixed outputs. Returns the number of replaces."""
+    never a complete manifest over mixed outputs, nor a stray manifest temp
+    file. Returns the number of replaces."""
     old = run_files(run_dir)
     saved = tmp_path / "saved-run"
     shutil.copytree(run_dir, saved)
@@ -169,6 +170,7 @@ def sweep_commit_faults(run_dir, config_path, argv, old_is_up_to_date, monkeypat
         monkeypatch.undo()
         err = capsys.readouterr().err
         assert "injected I/O error" in err and "Traceback" not in err, err
+        assert not (run_dir / "manifest.json.tmp").exists(), k
         if is_complete(run_dir):
             assert run_files(run_dir) == old and old_is_up_to_date(), k
         assert run(config_path, *argv) == 0 and is_complete(run_dir), k

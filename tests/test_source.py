@@ -49,3 +49,26 @@ def test_no_broad_exception_handlers(path):
     lines = [line for function, line in broad_handlers(tree)
              if (path.name, function) not in BROAD_HANDLERS_ALLOWED]
     assert not lines, f"{path.name} has broad exception handlers on lines {lines}"
+
+
+def unused_imports(tree):
+    """Names a module imports and never reads (`from __future__` is exempt)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every imported name is used; `__init__.py` only re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = unused_imports(tree)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
