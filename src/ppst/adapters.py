@@ -79,9 +79,12 @@ class AdapterBlock:
 class StyleAdapterSet:
     """One adapter block per LM layer, trained for a single style."""
 
-    def __init__(self, style_id, blocks, lm_fingerprint, config: AdapterConfig, seed=0):
+    def __init__(self, style_id, base_lm, lm_fingerprint, config: AdapterConfig, seed=0):
+        """Fresh blocks sized for `base_lm`, trained against the LM of `lm_fingerprint`."""
         self.style_id = style_id
-        self.blocks = list(blocks)
+        rng = np.random.default_rng(seed)
+        self.blocks = [AdapterBlock(base_lm.config.d_model, config, rng)
+                       for _ in base_lm.blocks]
         self.lm_fingerprint = lm_fingerprint
         self.config = config
         self.seed = seed
@@ -89,10 +92,7 @@ class StyleAdapterSet:
     @classmethod
     def create(cls, style_id, base_lm, config=None, seed=0):
         config = config or default_adapter_config(base_lm.config.d_model)
-        rng = np.random.default_rng(seed)
-        blocks = [AdapterBlock(base_lm.config.d_model, config, rng)
-                  for _ in base_lm.blocks]
-        return cls(style_id, blocks, base_lm.fingerprint(), config, seed)
+        return cls(style_id, base_lm, base_lm.fingerprint(), config, seed)
 
     def params(self):
         out = {}
@@ -108,14 +108,9 @@ class StyleAdapterSet:
 
     @classmethod
     def load(cls, directory, base_lm):
-        def build(manifest):
-            adapter_set = cls.create(manifest["style_id"], base_lm,
-                                     AdapterConfig(**manifest["config"]),
-                                     seed=manifest.get("seed", 0))
-            adapter_set.lm_fingerprint = manifest["lm_fingerprint"]
-            return adapter_set
-
-        return load_checkpoint(directory, "style_adapter_set", build)
+        return load_checkpoint(directory, "style_adapter_set", lambda manifest: cls(
+            manifest["style_id"], base_lm, manifest["lm_fingerprint"],
+            AdapterConfig(**manifest["config"]), seed=manifest.get("seed", 0)))
 
 
 @dataclass

@@ -3,18 +3,18 @@
 Tensor files hold little-endian float32 data back to back; a JSON shape index
 maps each tensor name to its shape and byte offset. Fingerprints are sha256
 over that same canonical float32 encoding, so a fingerprint survives a
-save/load round trip. A `Stage` owns one run directory: its name, its lock,
+save/load round trip. A `Stage` owns one run directory: its name, its `flock`,
 its up-to-date check, and a commit that writes the manifest last.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import shutil
-import sys
 import time
 from pathlib import Path
 
@@ -201,53 +201,35 @@ def load_checkpoint(directory, kind, build):
     return model
 
 
-class run_lock:
-    """Exclusive lock file guarding a run directory against concurrent writers.
-
-    The lock file holds its owner's pid. A lock whose pid is no longer running
-    was left by a killed process: it is removed, with one line on stderr.
-    """
-
-    def __init__(self, directory):
-        self.path = Path(directory) / LOCK_FILE
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # link a finished pid file into place, so a lock is never seen empty
-        mine = self.path.with_name(f"{LOCK_FILE}.{os.getpid()}")
-        mine.write_text(str(os.getpid()))
+@contextlib.contextmanager
+def run_lock(directory):
+    """Exclusive `flock` on `<run dir>/.lock`, guarding it against concurrent writers.
+    The kernel releases it when its holder exits or is killed. The holder writes
+    its pid into the file, for a refused writer to quote, and unlinks it on release."""
+    path = Path(directory) / LOCK_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        fh = open(path, "a+b", buffering=0)
         try:
-            while True:
-                try:
-                    os.link(mine, self.path)
-                    return self
-                except FileExistsError:
-                    self._clear_stale()
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.seek(0)
+            owner = fh.read().decode(errors="replace").strip() or "?"
+            fh.close()
+            raise ConfigurationError(f"run directory {path.parent} is locked by another "
+                                     f"process (pid {owner})") from None
+        # hold the file at the path, not one a releaser unlinked before our flock
+        with contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                break
+        fh.close()
+    with fh:
+        fh.truncate(0)
+        fh.write(str(os.getpid()).encode())
+        try:
+            yield
         finally:
-            mine.unlink()
-
-    def _clear_stale(self):
-        try:
-            owner = self.path.read_text().strip()
-        except FileNotFoundError:    # released meanwhile
-            return
-        try:
-            if int(owner) <= 0:
-                raise ValueError(owner)
-            os.kill(int(owner), 0)
-        except (ValueError, ProcessLookupError, OverflowError):
-            print(f"ppst: removing stale lock {self.path} (pid {owner or '?'} is not "
-                  "running)", file=sys.stderr)
-            self.path.unlink(missing_ok=True)
-            return
-        except PermissionError:      # running, owned by another user
-            pass
-        raise ConfigurationError(f"run directory {self.path.parent} is locked by "
-                                 f"another process (pid {owner})")
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        return False
+            path.unlink(missing_ok=True)    # while still locked: see the loop above
 
 
 class Stage:
@@ -290,9 +272,10 @@ class Stage:
     def run(self, input_fingerprint):
         """Lock the run dir and yield (staging dir, manifest) for the stage's work.
 
-        When the work returns, the staged outputs replace the old ones and the
-        manifest is written last; when it raises, the staging dir is dropped
-        and a previous complete run is left as it was.
+        When the work raises, the staging dir is dropped and a previous complete
+        run is left as it was. When it returns, the old manifest goes, the staged
+        outputs replace the old ones and the manifest is written last: a failure
+        during those moves leaves no complete run.
         """
         from . import __version__
         try:

@@ -14,18 +14,19 @@ an int passes for a float and stays an int, a bool is no number, and a None
 default takes null or the field's type (a string for paths and ids).
 `adapters.bottleneck_dim` 0 means `d_model // 8`. Each command is a `Stage`
 with a run directory `<artifacts_dir>/<stage>-<confighash>/`; the hash also
-covers the files of an explicit `lm.checkpoint`. A stage works in a staging dir
-under a pid lock (a lock whose pid is gone is removed), then moves its outputs
-into place and writes manifest.json last, so a crashed run leaves the previous
-one intact. A complete manifest over the same inputs is "up to date" and skipped
-unless --force is given; the inputs are the files and runs a stage reads, the
-base LM, mapper and model included, and for evaluate the images it scores.
+covers the files of an explicit `lm.checkpoint`. A stage holds a `flock` on its
+`.lock` (the kernel drops it when the holder dies), works in a staging dir, then
+moves its outputs into place and writes manifest.json last: a crash during the
+work leaves the previous run intact, a failed move leaves no complete run. A
+complete manifest over the same inputs is "up to date" and skipped unless
+--force is given; the inputs are the files and runs a stage reads, the base LM,
+mapper and model included, and for evaluate the images it scores.
 A downstream stage reads only complete upstream runs. `generate` checks that
-the mapper and a non-styled fine-tune come from the base LM in use.
+the mapper, an adapter and a non-styled fine-tune come from the base LM in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
 corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG or of
-the wrong type, a style that is not a plain name, a live lock or a mismatched
+the wrong type, a style that is not a plain name, a held lock or a mismatched
 checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
@@ -372,34 +373,43 @@ def cmd_train_adapter(cfg, style, force=False):
             with _frozen(lm):
                 adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
                                                       adapter_config=adapter_config)
+        final = loss_log[-1]["train_loss"] if loss_log else None    # None: no epoch ran
+        if style != "non-styled":
             adapter_set.save(out / "checkpoints" / "adapter", extra_manifest={
                 "train_config": vars(train_cfg),
                 "data_fingerprint": data_fp,
-                "final_loss": loss_log[-1]["train_loss"],
+                "final_loss": final,
             })
         write_jsonl(out / "loss_log.jsonl", loss_log)
         manifest.update(style=style, n_passages=len(passages))
-    final = loss_log[-1]["train_loss"] if loss_log else float("nan")
-    print(f"train-adapter[{style}]: {len(passages)} passages, final loss {final:.4f}")
+    print(f"train-adapter[{style}]: {len(passages)} passages, "
+          + ("no epoch ran" if final is None else f"final loss {final:.4f}"))
 
 
 # ---------------------------------------------------------------------------
 # generation and evaluation
 
 
-def _styled_model(cfg, style, lm, adapter_run):
+def _check_made_from(artifact, recorded, expected, command, base="base LM"):
+    if recorded != expected:
+        raise CompatibilityError(f"{artifact} was made from another {base}; run `{command}`")
+
+
+def _styled_model(cfg, style, lm, lm_fp, adapter_ckpt):
     if style == "plain":
         return StyledLanguageModel(lm, None, "plain")
     if style == "non-styled":
         run_dir = _stage(cfg, "train-adapter", style, extra=style).require()
-        if read_manifest(run_dir).get("base_lm_fingerprint") != lm.fingerprint():
-            raise CompatibilityError(f"the fine-tuned LM in {run_dir} was made from "
-                                     "another base LM; run `ppst train-adapter --style "
-                                     "non-styled`")
+        _check_made_from(f"the fine-tuned LM in {run_dir}",
+                         read_manifest(run_dir).get("base_lm_fingerprint"), lm_fp,
+                         f"ppst train-adapter --style {style}")
         return StyledLanguageModel(
             CausalTransformerLM.load(run_dir / "checkpoints" / "lm_finetuned"), None,
             "full_finetune")
-    return attach(lm, StyleAdapterSet.load(adapter_run / "checkpoints" / "adapter", lm))
+    adapter_set = StyleAdapterSet.load(adapter_ckpt, lm)
+    _check_made_from(f"adapter {adapter_ckpt}", adapter_set.lm_fingerprint, lm_fp,
+                     f"ppst train-adapter --style {style}")
+    return attach(lm, adapter_set)
 
 
 def _list_images(images):
@@ -422,19 +432,20 @@ def cmd_generate(cfg, images, style, force=False):
     mapper_ckpt = _stage(cfg, "train-mapper").require() / "checkpoints" / "mapper"
     # an adapter run is found before any model loads; the fine-tune of non-styled
     # after the mapper check below, whose error comes first
-    adapter_run = (None if style in ("plain", "non-styled")
-                   else _stage(cfg, "train-adapter", style, extra=style).require())
+    adapter_ckpt = (None if style in ("plain", "non-styled") else _stage(
+        cfg, "train-adapter", style, extra=style).require() / "checkpoints" / "adapter")
     mapper = PrefixMapper.load(mapper_ckpt)
     encoder = HashedNgramEncoder(**cfg["encoder"])
     lm = ensure_base_lm(cfg)
+    lm_fp = lm.fingerprint()
     # the mapper must come from this base LM and encoder, also for non-styled,
     # whose fine-tuned LM reuses the base LM's mapper
     trained = read_manifest(mapper_ckpt)
-    if (trained.get("lm_fingerprint"), trained.get("encoder_model_id")) != \
-            (lm.fingerprint(), encoder.model_id):
-        raise CompatibilityError(f"mapper {mapper_ckpt} was trained against another "
-                                 "base LM or encoder; run `ppst --force train-mapper`")
-    model = _styled_model(cfg, style, lm, adapter_run)
+    _check_made_from(f"mapper {mapper_ckpt}",
+                     (trained.get("lm_fingerprint"), trained.get("encoder_model_id")),
+                     (lm_fp, encoder.model_id), "ppst --force train-mapper",
+                     "base LM or encoder")
+    model = _styled_model(cfg, style, lm, lm_fp, adapter_ckpt)
     model_manifest = model.manifest()
     input_fp = fingerprint_json([image_fp, tensors_fingerprint(mapper.params()),
                                  model_manifest])

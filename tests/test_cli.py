@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ppst.artifacts import load_tensors
 from ppst.cli import main
 from ppst.corpus import save_caption_pairs
 from ppst.synthetic import make_book_files, make_caption_dataset, render_text_image
@@ -242,6 +243,29 @@ def test_generate_rejects_fine_tune_of_an_older_base_lm(tmp_path, capsys):
     assert main(generate) == 0
 
 
+def test_generate_rejects_adapter_of_an_older_base_lm(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    adapter = ["--config", str(config_path), "train-adapter", "--style", "romance"]
+    for argv in (["build-corpus"], ["train-mapper"]):
+        assert main(["--config", str(config_path), *argv]) == 0
+    assert main(adapter) == 0
+    grow_action_book(tmp_path)
+    for argv in (["build-corpus"], ["train-mapper"]):
+        assert main(["--config", str(config_path), *argv]) == 0
+    (run_dir,) = run_dirs(cfg, "train-adapter-romance-")
+    generate = ["--config", str(config_path), "generate", "--style", "romance",
+                "--images", str(tmp_path / "images")]
+    capsys.readouterr()
+    assert main(generate) == 2
+    err = capsys.readouterr().err
+    assert f"adapter {run_dir / 'checkpoints' / 'adapter'} was made from another base LM" \
+        in err, err
+    assert "ppst train-adapter --style romance" in err and "Traceback" not in err
+    # the adapter is no longer up to date, and once re-run it passes the check
+    assert main(adapter) == 0
+    assert main(generate) == 0
+
+
 def test_build_corpus_rerun_is_skipped(tmp_path, capsys):
     config_path, cfg = build_workspace(tmp_path)
     assert main(["--config", str(config_path), "build-corpus"]) == 0
@@ -341,6 +365,22 @@ def test_adapter_activation_applies_with_default_bottleneck(tmp_path):
         (run_dir / "checkpoints" / "adapter" / "manifest.json").read_text())
     assert manifest["config"]["activation"] == "tanh"
     assert manifest["config"]["bottleneck_dim"] == cfg["lm"]["d_model"] // 8
+
+
+def test_train_adapter_zero_epochs_saves_identity_adapter(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    cfg["adapters"]["max_epochs"] = 0
+    config_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "train-adapter", "--style", "romance"]) == 0
+    assert "no epoch ran" in capsys.readouterr().out
+    (run_dir,) = run_dirs(cfg, "train-adapter-romance-")
+    checkpoint = run_dir / "checkpoints" / "adapter"
+    assert json.loads((checkpoint / "manifest.json").read_text())["final_loss"] is None
+    assert (run_dir / "loss_log.jsonl").read_text() == ""
+    up = {name: t for name, t in load_tensors(checkpoint).items() if ".up." in name}
+    assert up and not any(t.any() for t in up.values())    # the identity map
 
 
 def test_non_styled_produces_finetuned_checkpoint(trained):

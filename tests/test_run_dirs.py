@@ -4,12 +4,16 @@ Every test that damages or replaces an artifact works on its own copy of one
 shared pipeline run.
 """
 
+import contextlib
 import errno
+import fcntl
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,28 +226,138 @@ def test_failed_generate_commit_keeps_previous_run_or_none(workspace, tmp_path, 
 # locks
 
 
+HOLD_LOCK = """
+import sys, time
+from ppst.artifacts import run_lock
+with run_lock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(300)
+"""
+
+# each holder creates a marker that only one process may have at a time
+TAKE_TURNS = """
+import os, sys, time
+from ppst.artifacts import run_lock
+from ppst.errors import ConfigurationError
+run_dir, marker = sys.argv[1:]
+held, deadline = 0, time.monotonic() + 60
+while held < 20 and time.monotonic() < deadline:
+    try:
+        with run_lock(run_dir):
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            time.sleep(0.002)
+            os.unlink(marker)
+        held += 1
+    except ConfigurationError:
+        time.sleep(0.001)
+sys.exit(0 if held == 20 else 3)
+"""
+
+
+@contextlib.contextmanager
+def children(*argvs):
+    """One `python -c` child per argv, with the package importable; each is
+    killed and reaped on exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    procs = []
+    try:
+        for argv in argvs:
+            procs.append(subprocess.Popen([sys.executable, "-c", *argv], env=env,
+                                          stdout=subprocess.PIPE, text=True))
+        yield procs
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=60)
+
+
+def exited_pid():
+    with children(["pass"]) as (child,):
+        child.wait(timeout=60)
+    return child.pid
+
+
 def test_stale_lock_of_exited_process_is_removed(tmp_path, capsys):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait(timeout=60)
+    pid = exited_pid()
     (tmp_path / "run").mkdir()
-    (tmp_path / "run" / ".lock").write_text(str(child.pid))
+    (tmp_path / "run" / ".lock").write_text(str(pid))
     with run_lock(tmp_path / "run"):
         assert (tmp_path / "run" / ".lock").read_text() == str(os.getpid())
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "stale lock" in err and str(child.pid) in err
+    assert capsys.readouterr().err == ""
     assert not (tmp_path / "run" / ".lock").exists()
 
 
 def test_lock_of_running_process_blocks_stage(workspace, capsys):
     config_path, cfg, _ = workspace
     (run_dir,) = run_dirs(cfg, "build-corpus-")
+    with children([HOLD_LOCK, str(run_dir)]) as (holder,):
+        assert holder.stdout.readline() == "held\n"
+        err = exits_2_naming(run_dir, capsys, config_path, "--force", "build-corpus")
+        assert "locked" in err and f"pid {holder.pid}" in err
+        assert (run_dir / ".lock").read_text() == str(holder.pid)
+        with pytest.raises(ConfigurationError, match="locked"):
+            with run_lock(run_dir):
+                pass
+        assert (run_dir / ".lock").read_text() == str(holder.pid)
+        assert holder.poll() is None
+
+
+def test_lock_file_naming_this_process_does_not_block_stage(workspace, capsys):
+    config_path, cfg, _ = workspace
+    (run_dir,) = run_dirs(cfg, "build-corpus-")
     (run_dir / ".lock").write_text(str(os.getpid()))
-    err = exits_2_naming(run_dir, capsys, config_path, "--force", "build-corpus")
-    assert "locked" in err
-    assert (run_dir / ".lock").read_text() == str(os.getpid())
-    with pytest.raises(ConfigurationError, match="locked"):
-        with run_lock(run_dir):
-            pass
+    assert run(config_path, "--force", "build-corpus") == 0
+    assert not (run_dir / ".lock").exists()
+
+
+def test_lock_of_killed_process_does_not_block_stage(workspace, capsys):
+    config_path, cfg, _ = workspace
+    (run_dir,) = run_dirs(cfg, "build-corpus-")
+    with children([HOLD_LOCK, str(run_dir)]) as (holder,):
+        assert holder.stdout.readline() == "held\n"
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.wait(timeout=60)
+    assert (run_dir / ".lock").read_text() == str(holder.pid)
+    capsys.readouterr()
+    assert run(config_path, "--force", "build-corpus") == 0
+    assert capsys.readouterr().err == ""
+    assert not (run_dir / ".lock").exists()
+
+
+def test_lock_admits_one_holder_at_a_time(tmp_path):
+    run_dir, marker = tmp_path / "run", tmp_path / "holder"
+    run_dir.mkdir()
+    (run_dir / ".lock").write_text(str(exited_pid()))
+    with children(*[[TAKE_TURNS, str(run_dir), str(marker)]] * 3) as procs:
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0, 0]
+    assert not marker.exists() and not (run_dir / ".lock").exists()
+
+
+def test_lock_released_between_open_and_flock_is_taken_at_the_path(tmp_path, monkeypatch):
+    """B opens `.lock`, then its holder A releases it (unlinking the file) before
+    B's flock: B must end up holding a file at the path, not the unlinked one."""
+    run_dir = tmp_path / "run"
+    holder = run_lock(run_dir)
+    holder.__enter__()
+    real, calls = fcntl.flock, []
+
+    def release_then_flock(fh, operation):
+        calls.append(operation)
+        if len(calls) == 1:
+            holder.__exit__(None, None, None)
+        return real(fh, operation)
+
+    monkeypatch.setattr(fcntl, "flock", release_then_flock)
+    with run_lock(run_dir):
+        monkeypatch.undo()
+        assert len(calls) == 2      # the unlinked file was dropped, the new one taken
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        with pytest.raises(ConfigurationError, match="locked"):
+            with run_lock(run_dir):
+                pass
+    assert not (run_dir / ".lock").exists()
 
 
 # ---------------------------------------------------------------------------

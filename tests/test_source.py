@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,23 +23,27 @@ BROAD = {"Exception", "BaseException"}
 BROAD_HANDLERS_ALLOWED = {("encoding.py", "load_raster")}
 
 
+def nodes_with_function(tree):
+    """(node, name of its innermost enclosing function or None) for every node."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            yield child, function
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if is_def else function)
+
+    return visit(tree, None)
+
+
 def broad_handlers(tree):
     """(enclosing function, line) of every bare, `except Exception` or
     `except BaseException` handler, also inside a tuple of types."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                types = (child.type.elts if isinstance(child.type, ast.Tuple)
-                         else [child.type])
-                if child.type is None or any(isinstance(t, ast.Name) and t.id in BROAD
-                                             for t in types):
-                    found.append((function, child.lineno))
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else function)
-
-    visit(tree, None)
+    for node, function in nodes_with_function(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(t, ast.Name) and t.id in BROAD
+                                        for t in types):
+                found.append((function, node.lineno))
     return found
 
 
@@ -72,3 +78,47 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = unused_imports(tree)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# distributions imported under another name
+IMPORT_NAMES = {"pillow": "PIL"}
+# the `images` extra is optional: only this function may import it
+IMAGES_EXTRA_ALLOWED = {("encoding.py", "load_raster")}
+
+
+def declared_modules(requirements):
+    """Import names of pyproject requirement strings such as "numpy>=1.24"."""
+    names = (re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements)
+    return {IMPORT_NAMES.get(name, name) for name in names}
+
+
+def absolute_imports(tree):
+    """(top-level module, enclosing function, line) of every absolute import."""
+    found = []
+    for node, function in nodes_with_function(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.partition(".")[0], function, node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.partition(".")[0], function, node.lineno))
+    return found
+
+
+def test_imports_are_declared():
+    """Each module the package imports is in the standard library, a declared
+    dependency, or, inside `load_raster` only, in the `images` extra."""
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    required = declared_modules(project["dependencies"])
+    images = declared_modules(project["optional-dependencies"]["images"])
+    undeclared = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module, function, line in absolute_imports(tree):
+            if module in sys.stdlib_module_names or module in required:
+                continue
+            if module in images and (path.name, function) in IMAGES_EXTRA_ALLOWED:
+                continue
+            undeclared.append((path.name, line, module))
+    assert not undeclared, f"imports of undeclared modules: {undeclared}"
