@@ -115,7 +115,8 @@ class StyleAdapterSet:
 
 @dataclass
 class StyledLanguageModel:
-    """Lightweight view composing a base LM with at most one adapter set."""
+    """Lightweight view composing a base LM with at most one adapter set. Its
+    `manifest()` fingerprints the weights once, when the view is made."""
 
     base_lm: CausalTransformerLM
     adapter_set: StyleAdapterSet = None
@@ -124,16 +125,21 @@ class StyledLanguageModel:
     def __post_init__(self):
         if self.mode not in ("adapter", "full_finetune", "plain"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        lm_fingerprint = self.base_lm.fingerprint()
         if self.mode == "adapter":
             if self.adapter_set is None:
                 raise ConfigurationError("adapter mode requires an adapter set")
-            if self.adapter_set.lm_fingerprint != self.base_lm.fingerprint():
+            if self.adapter_set.lm_fingerprint != lm_fingerprint:
                 raise CompatibilityError(
                     "adapter set was trained against a different base LM "
-                    f"({self.adapter_set.lm_fingerprint[:12]} != "
-                    f"{self.base_lm.fingerprint()[:12]})")
+                    f"({self.adapter_set.lm_fingerprint[:12]} != {lm_fingerprint[:12]})")
         elif self.adapter_set is not None:
             raise ConfigurationError(f"mode {self.mode!r} does not take an adapter set")
+        self._manifest = {"lm_id": self.base_lm.lm_id, "lm_fingerprint": lm_fingerprint,
+                          "mode": self.mode, "style": self.style}
+        if self.mode == "adapter":
+            self._manifest["adapter_fingerprint"] = tensors_fingerprint(
+                self.adapter_set.params())
 
     @property
     def adapters(self):
@@ -188,23 +194,32 @@ class StyledLanguageModel:
         return logits[0, -1]
 
     def prefill(self, prefix_matrix):
-        """Run the anchor once: (logits (1, vocab) for the first token, past)."""
-        logits, cache = self.base_lm.forward_embeds(self._anchor(prefix_matrix)[None],
-                                                    self.adapters)
-        return logits[:, -1], self.base_lm.past_kv(cache)
+        """Run the anchor once: (logits (1, vocab) for the first token, past). The
+        past `(kv, S)` holds per layer K and V buffers (beams, H, max_seq_len, dh)."""
+        anchor = self._anchor(prefix_matrix)[None]
+        attn = self.base_lm.blocks[0].attn
+        shape = (1, attn.n_head, self.context_limit, attn.d_head)
+        kv = [(np.empty(shape), np.empty(shape)) for _ in self.base_lm.blocks]
+        logits, _ = self.base_lm.forward_embeds(anchor, self.adapters, (kv, 0))
+        return logits[:, -1], (kv, anchor.shape[1])
 
     def step(self, token_ids, past, parents):
-        """Append token_ids[i] to row parents[i] of `past` (one row per beam):
-        returns (logits (beams, vocab) for each new row's next token, the new
-        past). The past is one (k, v) per layer, each (beams, H, positions, dh).
-
-        `past` is reordered in place, so the caller's copy does not outlive
-        the reorder and its memory is reused."""
-        for i, (k, v) in enumerate(past):
-            past[i] = (np.take(k, parents, axis=0), np.take(v, parents, axis=0))
+        """Append token_ids[i] to row parents[i] of `past`: returns (logits (beams,
+        vocab) for each new row's next token, the new past). In place, only rows
+        whose parent is another row move, gathered first, so parents may repeat;
+        the buffers regrow when the beam count rises and use their first rows when it falls."""
+        kv, start = past
+        parents = np.asarray(parents, dtype=np.intp)
+        grow = len(parents) > kv[0][0].shape[0]
+        moved = np.flatnonzero(grow | (parents != np.arange(len(parents))))
+        for i, layer in enumerate(kv):
+            if grow:
+                kv[i] = tuple(np.empty((len(parents),) + buf.shape[1:]) for buf in layer)
+            for old, new in zip(layer, kv[i]):
+                new[moved, :, :start] = old[parents[moved], :, :start]
         embeds = self.base_lm.embed_tokens(token_ids)[:, None, :]
-        logits, cache = self.base_lm.forward_embeds(embeds, self.adapters, past)
-        return logits[:, -1], self.base_lm.past_kv(cache)
+        logits, _ = self.base_lm.forward_embeds(embeds, self.adapters, (kv, start))
+        return logits[:, -1], (kv, start + 1)
 
     def perplexity(self, token_lists):
         """exp(mean NLL per token); lower is a better fit."""
@@ -215,11 +230,7 @@ class StyledLanguageModel:
         return self.base_lm.tokenizer.decode(token_ids)
 
     def manifest(self):
-        out = {"lm_id": self.base_lm.lm_id, "lm_fingerprint": self.base_lm.fingerprint(),
-               "mode": self.mode, "style": self.style}
-        if self.mode == "adapter":
-            out["adapter_fingerprint"] = tensors_fingerprint(self.adapter_set.params())
-        return out
+        return dict(self._manifest)
 
 
 def attach(base_lm, adapter_set):

@@ -25,13 +25,13 @@ Conventions (documented, configurable where noted):
 
 The live beams are a (beams, step) token-id matrix and a (beams,) score
 vector. A step is one processor pass over (beams, vocab) logits, and one
-stable argsort of the flattened scores ranks the candidates: flat index
-beam * vocab + token, so ties go to the lower beam, then the lower token.
+stable argsort of the finite flattened scores ranks the candidates: flat
+index beam * vocab + token, so ties go to the lower beam, then the lower token.
 
 The model is driven through its step API only (see StyledLanguageModel):
 `prefill(prefix)` runs the anchor once, then each step calls
 `step(newest tokens, past, parents)` with the parent beam of every live
-row. The past is opaque here: the model reorders and extends it.
+row. The past is opaque here: the model reorders and extends it in place.
 """
 
 from __future__ import annotations
@@ -181,8 +181,17 @@ def top_k_filter(logits, k):
     """Keep the k best logits (ties to the lower token id), mask the rest."""
     if k >= logits.shape[-1]:
         return logits
-    keep = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
-    return np.where(_token_mask(logits.shape, keep), logits, NEG_INF)
+    kth = np.partition(logits, -k, axis=-1)[..., -k, None]     # the k-th best value
+    above = logits > kth
+    tied = logits == kth       # the lowest ids among these fill the k
+    tied &= np.cumsum(tied, axis=-1) <= k - np.count_nonzero(above, axis=-1)[..., None]
+    return np.where(above | tied, logits, NEG_INF)
+
+
+def rank_candidates(scores):
+    """Indices of the finite scores, best first, ties to the lower index."""
+    live = np.flatnonzero(np.isfinite(scores))
+    return live[np.argsort(-scores[live], kind="stable")]
 
 
 def step_log_probs(raw_logits, token_ids, cfg, eos_id):
@@ -253,7 +262,7 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
         log_probs, relaxed = step_log_probs(raw, ids, cfg, eos_id)
         run_warnings += [f"n-gram block lifted at step {step}"] * relaxed
         flat = (scores[:, None] + log_probs).ravel()
-        order = np.argsort(-flat, kind="stable")[:np.count_nonzero(np.isfinite(flat))]
+        order = rank_candidates(flat)
         beam, tok = np.divmod(order, log_probs.shape[1])
         eos = tok == eos_id
         finished += [(tuple(ids[b].tolist()) + (eos_id,), s)

@@ -86,14 +86,14 @@ class CausalTransformerLM:
     def forward_embeds(self, embeds, adapters=None, past=None):
         """embeds: (B, T, d_model) already in input-embedding space.
 
-        `past`, the `past_kv` of an earlier call (one (k, v) per layer, each
-        (B, H, S, dh)), puts the embeds at positions S..S+T-1 attending to the
-        S cached ones: the logits equal one call over all S + T positions.
-        Backward needs `past=None`, which starts at position 0. The cache
-        records the adapters that ran, so backward goes through the same ones.
+        `past=(kv, S)`, kv one (K, V) buffer pair per layer holding S positions
+        (see nn.CausalSelfAttention), puts the embeds at positions S..S+T-1 (decode
+        only): the logits equal one call over all S + T positions. Backward
+        needs `past=None`, which starts at position 0. The cache records the
+        adapters that ran, so backward goes through the same ones.
         """
         b, t, d = embeds.shape
-        start = 0 if past is None else past[0][0].shape[2]
+        start = 0 if past is None else past[1]
         if start + t > self.config.max_seq_len:
             raise ConfigurationError(
                 f"sequence length {start + t} exceeds max_seq_len {self.config.max_seq_len}")
@@ -102,7 +102,7 @@ class CausalTransformerLM:
         h = embeds + self.pos_emb.value[start:start + t]
         caches = []
         for i, block in enumerate(self.blocks):
-            h, c = block.forward(h, None if past is None else past[i])
+            h, c = block.forward(h, None if past is None else (*past[0][i], start))
             if adapters is not None:
                 h, ac = adapters[i].forward(h)
             else:
@@ -111,11 +111,6 @@ class CausalTransformerLM:
         hn, ln_cache = self.ln_f.forward(h)
         logits, head_cache = self.head.forward(hn)
         return logits, (caches, ln_cache, head_cache, adapters)
-
-    @staticmethod
-    def past_kv(cache):
-        """Per-layer (k, v) over every position of a `forward_embeds` cache."""
-        return [attn_cache[2:4] for (_, attn_cache, _, _), _ in cache[0]]
 
     def backward(self, dlogits, cache):
         caches, ln_cache, head_cache, adapters = cache

@@ -9,8 +9,10 @@ only what backward reads: a Linear's input, LayerNorm's (xhat, 1/std), an
 activation's output (tanh), input (relu) or slope (gelu), and attention's q, k,
 v and weights. Layers and ``Adam.step`` work in place on their own arrays, never
 on an input or a cache, in the operation order of the textbook expressions, so
-results are bit-equal to those (pinned in tests/test_nn.py). All math runs in
-float64; checkpoints store float32 (see artifacts.py).
+results are bit-equal to those (pinned in tests/test_nn.py). A forward given a
+``past`` (attention's k/v buffers) is decode-only: it writes k and v into the
+buffers in place, and the MLP caches no GELU slope, so no backward may follow.
+All math runs in float64; checkpoints store float32 (see artifacts.py).
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ def _relu_bwd(dy, x):
     return dy * (x > 0.0)
 
 
-def _gelu_fwd(x):
-    """x * cdf(x), caching the slope cdf(x) + x * pdf(x) for backward."""
+def _gelu_fwd(x, backward=True):
+    """x * cdf(x), caching the slope cdf(x) + x * pdf(x) if a backward may follow."""
     cdf = x / math.sqrt(2.0)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    if not backward:
+        return np.multiply(x, cdf, out=cdf), None
     slope = np.multiply(x, -0.5)
     slope *= x
     np.exp(slope, out=slope)
@@ -179,14 +183,16 @@ class CausalSelfAttention:
         self.proj = Linear(d_model, d_model, rng)
 
     def forward(self, x, past=None):
-        """`past=(k, v)`, each (B, H, S, dh), puts x at positions S.. (forward
-        only); the cache's k and v cover all S + T positions."""
+        """`past=(K, V, S)`, buffers whose first B rows hold positions ..S - 1, puts x
+        at S.. (decode only): x's k and v are written there; attention reads
+        [:B, :, :S + T]."""
         b, t, d = x.shape
         qkv, qkv_cache = self.qkv.forward(x)
         q, k, v = qkv.reshape(b, t, 3, self.n_head, self.d_head).transpose(2, 0, 3, 1, 4)
         if past is not None:
-            k = np.concatenate([past[0], k], axis=2)
-            v = np.concatenate([past[1], v], axis=2)
+            k_buf, v_buf, start = past
+            k_buf[:b, :, start:start + t], v_buf[:b, :, start:start + t] = k, v
+            k, v = k_buf[:b, :, :start + t], v_buf[:b, :, :start + t]
         s = k.shape[2]
         attn = q @ k.transpose(0, 1, 3, 2)
         attn /= math.sqrt(self.d_head)
@@ -224,9 +230,9 @@ class Mlp:
         self.fc = Linear(d_model, d_ff, rng)
         self.out = Linear(d_ff, d_model, rng)
 
-    def forward(self, x):
+    def forward(self, x, backward=True):
         h, fc_cache = self.fc.forward(x)
-        a, act_cache = _gelu_fwd(h)
+        a, act_cache = _gelu_fwd(h, backward)
         y, out_cache = self.out.forward(a)
         return y, (fc_cache, act_cache, out_cache)
 
@@ -254,7 +260,7 @@ class TransformerBlock:
         a, attn_cache = self.attn.forward(n1, past)
         h = x + a
         n2, ln2_cache = self.ln2.forward(h)
-        m, mlp_cache = self.mlp.forward(n2)
+        m, mlp_cache = self.mlp.forward(n2, past is None)
         return h + m, (ln1_cache, attn_cache, ln2_cache, mlp_cache)
 
     def backward(self, dy, cache):

@@ -428,6 +428,31 @@ def test_generate_records_in_input_order_and_deterministic(trained, tmp_path):
         records_path.read_bytes()
 
 
+def test_generate_fingerprints_the_model_once_per_stage(trained, monkeypatch):
+    """The records carry the manifest the stage's input fingerprint covers,
+    not one recomputed per image."""
+    import sys
+    from ppst import artifacts
+
+    tmp, config_path, _ = trained
+    real = artifacts.tensors_fingerprint
+    calls = []
+
+    def counting(params):
+        calls.append(1)
+        return real(params)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ppst") and \
+                getattr(module, "tensors_fingerprint", None) is real:
+            monkeypatch.setattr(module, "tensors_fingerprint", counting)
+    images = tmp / "images"
+    assert len(list(images.glob("*.pgm"))) == 12
+    assert main(["--config", str(config_path), "--force", "generate", "--style", "romance",
+                 "--images", str(images)]) == 0
+    assert 0 < len(calls) <= 5
+
+
 def test_generate_skips_unreadable_image(trained, tmp_path):
     tmp, config_path, cfg = trained
     images = tmp_path / "mixed"

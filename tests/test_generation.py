@@ -10,7 +10,7 @@ from ppst.adapters import StyledLanguageModel
 from ppst.errors import ConfigurationError
 from ppst.generation import (DecodeConfig, apply_repetition_penalty, apply_temperature,
                              block_ngrams, eos_length_decay, generate, mask_min_length,
-                             step_log_probs, top_k_filter)
+                             rank_candidates, step_log_probs, top_k_filter)
 
 
 def small_cfg(**kw):
@@ -144,6 +144,29 @@ def test_top_k_ties_go_to_lower_ids_in_long_rows():
         for row, row_kept in zip(rows, kept):
             expected = sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
             assert np.flatnonzero(row_kept).tolist() == sorted(expected)
+
+
+def test_top_k_and_ranking_equal_a_full_stable_argsort():
+    """Property test on rows with heavy ties, signed zeros and -inf entries:
+    both give exactly the order of one stable argsort over every entry."""
+    rng = np.random.default_rng(21)
+    for _ in range(10000):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+        logits = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0], size=shape)
+        logits[rng.random(shape) < rng.random()] = -np.inf
+        k = int(rng.integers(1, shape[1] + 2))
+        if k >= shape[1]:
+            want = logits
+        else:
+            keep = np.argsort(-logits, axis=-1, kind="stable")[:, :k]
+            want = np.full(shape, -np.inf)
+            np.put_along_axis(want, keep, np.take_along_axis(logits, keep, axis=-1), axis=-1)
+        got = top_k_filter(logits, k)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(top_k_filter(logits[0], k), got[0])
+        flat = logits.ravel()
+        order = np.argsort(-flat, kind="stable")[:np.count_nonzero(np.isfinite(flat))]
+        assert np.array_equal(rank_candidates(flat), order)
 
 
 def test_step_log_probs_are_normalized_and_non_positive():

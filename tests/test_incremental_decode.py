@@ -5,12 +5,14 @@
 layer, at every step and for every beam, whatever the beam reordering.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import StatelessLM, make_tiny_lm
+from ppst import nn
 from ppst.adapters import StyleAdapterSet, StyledLanguageModel, attach
 from ppst.errors import ConfigurationError
 from ppst.generation import DecodeConfig, generate
@@ -21,6 +23,9 @@ TOL = 1e-10
 # then keep, permute, and duplicate one beam while dropping another
 PARENTS = [[0, 0, 0], [0, 1, 2], [2, 0, 0], [1, 2, 0], [0, 0, 1], [2, 1, 1],
            [0, 1, 2], [1, 1, 0]]
+# the beam count shrinks, grows past its earlier peak, and shrinks again
+SHRINK_GROW_PARENTS = [[0, 0, 0, 0], [3, 1, 0, 2], [2, 0], [1, 1, 0], [0], [0, 0, 0, 0, 0],
+                       [4, 3, 2, 1, 0], [1, 1], [0, 1, 1, 0, 1, 0]]
 
 
 def make_model(with_adapters, seed=0):
@@ -75,6 +80,69 @@ def test_incremental_logits_match_full_reforward(with_adapters, with_prefix):
 
 @pytest.mark.parametrize("with_adapters", [False, True])
 @pytest.mark.parametrize("with_prefix", [False, True])
+def test_incremental_logits_match_full_reforward_as_beams_shrink_and_grow(
+        with_adapters, with_prefix):
+    model = make_model(with_adapters, seed=2)
+    prefix = make_prefix(model, with_prefix)
+    rng = np.random.default_rng(4)
+
+    logits, past = model.prefill(prefix)
+    beams = [()]
+    for parents in SHRINK_GROW_PARENTS:
+        tokens = [int(t) for t in rng.integers(0, model.vocab_size, size=len(parents))]
+        beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
+        logits, past = model.step(tokens, past, parents)
+        assert logits.shape == (len(beams), model.vocab_size)
+        for row, ids in zip(logits, beams):
+            want = model.next_token_logits(prefix, list(ids))
+            assert np.abs(row - want).max() <= TOL
+
+
+def test_decode_forwards_compute_no_gelu_slope(monkeypatch):
+    model = make_model(True)
+    slopes = []
+    gelu = nn._gelu_fwd
+
+    def recording(x, backward=True):
+        slopes.append(backward)
+        return gelu(x, backward)
+
+    monkeypatch.setattr(nn, "_gelu_fwd", recording)
+    _, past = model.prefill(make_prefix(model, True))
+    model.step([1, 2], past, [0, 0])
+    assert slopes == [False] * 4          # two layers, in prefill and in one step
+    model.base_lm.forward_tokens([[1, 2]])
+    assert slopes[4:] == [True, True]     # a forward that backward may follow
+
+
+def test_step_allocates_far_less_than_the_past():
+    """A step at story position >= 100 (d128x4, 5 beams) writes its k and v in
+    place: its peak allocation stays below half the bytes of the whole past."""
+    lm = make_tiny_lm(n_words=40, n_layer=4, n_head=4, d_model=128, d_ff=512,
+                      max_seq_len=128)
+    model = StyledLanguageModel(lm, None, "plain")
+    rng = np.random.default_rng(5)
+    _, past = model.prefill(rng.standard_normal((10, 128)))
+    parents = [0] * 5
+    for _ in range(95):
+        _, past = model.step(rng.integers(0, model.vocab_size, size=len(parents)), past,
+                             parents)
+        parents = rng.integers(0, 5, size=5)
+    kv, start = past
+    assert start >= 100
+    past_bytes = sum(buf[:5, :, :start].nbytes for layer in kv for buf in layer)
+    tokens = rng.integers(0, model.vocab_size, size=5)
+    tracemalloc.start()
+    try:
+        model.step(tokens, past, [4, 4, 0, 1, 2])       # every row moves, one parent twice
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < past_bytes / 2
+
+
+@pytest.mark.parametrize("with_adapters", [False, True])
+@pytest.mark.parametrize("with_prefix", [False, True])
 def test_cached_generate_matches_full_reforward(with_adapters, with_prefix):
     model = make_model(with_adapters, seed=1)
     prefix = make_prefix(model, with_prefix)
@@ -112,8 +180,9 @@ def test_one_batched_forward_per_step(monkeypatch):
 def test_forward_embeds_past_beyond_max_seq_len_raises():
     lm = make_tiny_lm(max_seq_len=8)
     rng = np.random.default_rng(0)
-    _, cache = lm.forward_embeds(rng.standard_normal((2, 5, 8)))
-    past = lm.past_kv(cache)
-    lm.forward_embeds(rng.standard_normal((2, 3, 8)), past=past)    # 5 + 3 fits
+    attn = lm.blocks[0].attn
+    kv = [tuple(np.empty((2, attn.n_head, 8, attn.d_head)) for _ in "kv") for _ in lm.blocks]
+    lm.forward_embeds(rng.standard_normal((2, 5, 8)), past=(kv, 0))
+    lm.forward_embeds(rng.standard_normal((2, 3, 8)), past=(kv, 5))    # 5 + 3 fits
     with pytest.raises(ConfigurationError, match="max_seq_len"):
-        lm.forward_embeds(rng.standard_normal((2, 4, 8)), past=past)
+        lm.forward_embeds(rng.standard_normal((2, 4, 8)), past=(kv, 5))

@@ -322,8 +322,35 @@ def test_attention_step_with_past_is_bit_equal_to_textbook():
     rng = np.random.default_rng(15)
     layer = nn.CausalSelfAttention(32, 4, rng)
     _, (_, _, past_k, past_v, _, _) = layer.forward(rng.standard_normal((5, 6, 32)))
+    # buffers with a spare row and spare positions, NaN wherever nothing was written
+    k_buf, v_buf = np.full((2, 7, 4, 10, 8), np.nan)
+    k_buf[:5, :, :6], v_buf[:5, :, :6] = past_k, past_v
     x = rng.standard_normal((5, 1, 32))
-    y, (_, _, k, v, _, _) = layer.forward(x, (past_k, past_v))
+    y, (_, _, k, v, _, _) = layer.forward(x, (k_buf, v_buf, 6))
     want, (_, want_k, want_v, _, _) = textbook_attention(layer, x, (past_k, past_v))
     assert np.array_equal(y, want)
     assert np.array_equal(k, want_k) and np.array_equal(v, want_v)
+    assert np.array_equal(k_buf[:5, :, :7], want_k) and np.array_equal(v_buf[:5, :, :7], want_v)
+    assert np.isnan(k_buf[5:]).all() and np.isnan(k_buf[:, :, 7:]).all()
+    assert np.isnan(v_buf[5:]).all() and np.isnan(v_buf[:, :, 7:]).all()
+
+
+def test_attention_prefill_into_buffers_is_bit_equal_to_textbook():
+    rng = np.random.default_rng(16)
+    layer = nn.CausalSelfAttention(32, 4, rng)
+    x = rng.standard_normal((1, 6, 32))
+    k_buf, v_buf = np.full((2, 1, 4, 10, 8), np.nan)
+    y, _ = layer.forward(x, (k_buf, v_buf, 0))
+    want, (_, want_k, want_v, _, _) = textbook_attention(layer, x)
+    assert np.array_equal(y, want)
+    assert np.array_equal(k_buf[:, :, :6], want_k) and np.array_equal(v_buf[:, :, :6], want_v)
+
+
+def test_mlp_forward_without_slope_is_bit_equal_and_caches_none():
+    rng = np.random.default_rng(17)
+    mlp = nn.Mlp(16, 32, rng)
+    x = rng.standard_normal((3, 1, 16))
+    y, cache = mlp.forward(x)
+    y_decode, decode_cache = mlp.forward(x, backward=False)
+    assert np.array_equal(y_decode, y)
+    assert cache[1] is not None and decode_cache[1] is None
