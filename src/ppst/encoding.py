@@ -115,8 +115,10 @@ class HashedNgramEncoder:
     Text is truncated to `max_text_tokens` whitespace tokens, then character
     n-grams (n = 1..3) are hashed into buckets; images contribute their pixel
     byte stream through the same featurizer, so images whose pixels carry
-    text-like content align with their captions. Bucket counts are projected
-    by a matrix drawn once from a seed derived from the model id.
+    text-like content align with their captions. Each distinct n-gram is hashed
+    once and counted by its multiplicity, which gives the same counts, bit for
+    bit, as hashing every position. Bucket counts are projected by a matrix
+    drawn once from a seed derived from the model id.
     """
 
     def __init__(self, embed_dim=256, model_id=None, max_text_tokens=77, n_buckets=2048):
@@ -133,13 +135,32 @@ class HashedNgramEncoder:
         self.projection.flags.writeable = False
 
     def _bucket_counts(self, chars):
-        counts = np.zeros(self.n_buckets)
-        data = chars.encode("utf-8", errors="surrogateescape")
+        """Float64 bucket counts of the byte n-grams (n = 1..3) of `chars` as UTF-8.
+
+        Each distinct n-gram, packed big-endian into an int64, is hashed once
+        and counted by its multiplicity: the same integer counts as hashing
+        every position.
+        """
+        try:
+            data = chars.encode("utf-8", errors="surrogateescape")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"cannot encode text: it holds the lone surrogate "
+                             f"U+{ord(exc.object[exc.start]):04X}, which has no UTF-8 form")
+        data = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        buckets, multiplicities = [], []
         for n in (1, 2, 3):
-            for i in range(len(data) - n + 1):
-                digest = hashlib.blake2b(data[i: i + n], digest_size=8).digest()
-                counts[int.from_bytes(digest, "little") % self.n_buckets] += 1.0
-        return counts
+            grams = data[: max(len(data) - n + 1, 0)]
+            for k in range(1, n):
+                grams = (grams << 8) | data[k: k + len(grams)]
+            distinct, multiplicity = np.unique(grams, return_counts=True)
+            digests = b"".join([hashlib.blake2b(g.to_bytes(n, "big"), digest_size=8).digest()
+                                for g in distinct.tolist()])
+            # each digest read as int.from_bytes(digest, "little")
+            buckets.append(np.frombuffer(digests, dtype="<u8") % np.uint64(self.n_buckets))
+            multiplicities.append(multiplicity)
+        counts = np.bincount(np.concatenate(buckets).astype(np.int64),
+                             weights=np.concatenate(multiplicities), minlength=self.n_buckets)
+        return counts.astype(np.float64, copy=False)   # bincount of nothing is int64
 
     def _project(self, counts):
         total = counts.sum()

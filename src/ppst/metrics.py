@@ -4,9 +4,10 @@ Native metrics, whose standard parameters are module constants: ROUGE-L (LCS
 F-measure, recall weight ROUGE_BETA = 1.2), ChrF++ (character 1..6-gram plus
 word 1..2-gram F, CHRF_CHAR_ORDERS and CHRF_WORD_ORDERS, beta CHRF_BETA = 2,
 averaged over orders), and CLIPScore (w * max(cos, 0), w = `clip_weight`,
-2.5 by default; an unreadable image is a per-item diagnostic). Four
-model-based text metrics (MoverScore, BERTScore, BLEURT, BARTScore) are
-delegated to an out-of-process scorer over a newline-delimited JSON protocol:
+2.5 by default; an unreadable image or a story the encoder cannot encode is
+a per-item diagnostic). Four model-based text metrics (MoverScore,
+BERTScore, BLEURT, BARTScore) are delegated to an out-of-process scorer over
+a newline-delimited JSON protocol:
 `external_score(endpoint, "BLEURT", [(item_id, candidate, references), ...])`
 returns {item_id: score}. A scorer that fails after retries, or replies with a
 line that is not UTF-8 JSON, has a non-finite score or scores other ids,
@@ -310,7 +311,7 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
                     window = getattr(encoder, "max_text_tokens", None)
                     if window is not None and len(story.split()) > window:
                         report.item_meta[item_id]["clip_text_truncated_to"] = window
-            except PpstError as exc:      # an unreadable image
+            except PpstError as exc:      # an unreadable image or unencodable story
                 report.diagnostics.append({"item_id": item_id, "image_ref": image_ref,
                                            "clip_score_error": str(exc)})
         report.per_item[item_id] = row

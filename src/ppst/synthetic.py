@@ -126,26 +126,3 @@ def make_book_files(directory, seed=0):
         encoding="utf-8",
     )
     return directory
-
-
-# ---------------------------------------------------------------------------
-# unigram analysis for the style-shift check
-
-
-def unigram_distribution(token_lists, vocab):
-    """Unigram distribution of tokens over `vocab` (type list), add-1e-6 smoothed."""
-    index = {w: i for i, w in enumerate(vocab)}
-    counts = np.full(len(vocab), 1e-6)
-    for tokens in token_lists:
-        for t in tokens:
-            if t in index:
-                counts[index[t]] += 1.0
-    return counts / counts.sum()
-
-
-def kl_divergence(p, q):
-    """KL(p || q) for dense distributions with matching support."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

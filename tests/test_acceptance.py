@@ -30,8 +30,7 @@ from ppst.lm import CausalTransformerLM, LmConfig
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper,
                          prefix_batch_loss, train_mapper)
 from ppst.metrics import chrf_pp, rouge_l
-from ppst.synthetic import (full_vocabulary, kl_divergence, make_caption_dataset,
-                            make_style_passages, unigram_distribution)
+from ppst.synthetic import full_vocabulary, make_caption_dataset, make_style_passages
 from ppst.tokenizer import WordTokenizer
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
@@ -46,6 +45,29 @@ def criterion(num, title):
         print(f"\n[criterion {num}] FAIL: {title}")
         raise
     print(f"\n[criterion {num}] PASS: {title} ({time.perf_counter() - started:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# unigram analysis for the style-shift check (criterion 6)
+
+
+def unigram_distribution(token_lists, vocab):
+    """Unigram distribution of tokens over `vocab` (type list), add-1e-6 smoothed."""
+    index = {w: i for i, w in enumerate(vocab)}
+    counts = np.full(len(vocab), 1e-6)
+    for tokens in token_lists:
+        for t in tokens:
+            if t in index:
+                counts[index[t]] += 1.0
+    return counts / counts.sum()
+
+
+def kl_divergence(p, q):
+    """KL(p || q) for dense distributions with matching support."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 # ---------------------------------------------------------------------------

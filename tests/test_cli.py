@@ -625,6 +625,22 @@ def test_deleted_image_is_a_clip_score_diagnostic(tmp_path, capsys):
     assert error["item_id"] == "item00000" and str(image) in error["clip_score_error"]
 
 
+def test_story_with_lone_surrogate_is_a_clip_score_diagnostic(tmp_path, capsys):
+    image, evaluate = evaluate_one_image(tmp_path)
+    # the JSON escape \ud800 reads back as a lone surrogate, which has no UTF-8 form
+    (tmp_path / "records.jsonl").write_text(json.dumps(
+        {"image_ref": str(image), "story": "a red cat \ud800 on the table"}) + "\n")
+    assert "\\ud800" in (tmp_path / "records.jsonl").read_text()
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    corpus = evaluate_corpus_row(tmp_path)
+    assert {"ROUGE-L", "ChrF++"} <= set(corpus["metrics"])
+    assert "CLIPScore" not in corpus["metrics"]
+    (error,) = corpus["diagnostics"]
+    assert error["item_id"] == "item00000" and "lone surrogate U+D800" in error["clip_score_error"]
+
+
 def test_entry_point_runs_as_subprocess(tmp_path):
     import os
     import subprocess

@@ -283,3 +283,87 @@ def test_image_embedding_bits_are_pinned(tmp_path):
     assert load_raster(commented).shape == (4, 6)
     assert _digest(encoder.encode_image(commented)) == \
         "c49839cd6991c4f0fb92a3955b94d383fd3ab09af0eda4bed562501aa7112e9b"
+
+
+def test_escaped_byte_text_bits_are_pinned():
+    """U+DC80..U+DCFF (surrogateescape) encode to the bytes 0x80..0xFF they stand for."""
+    text = "caf\udce9 au lait \udcff\udc80 \udcc3\udca9t\udce9"
+    assert _digest(HashedNgramEncoder().encode_text(text)) == \
+        "0f1db497fca51a5a0a62a6ac31135449fc829624b622c4502dcde7d27d385608"
+
+
+@pytest.mark.parametrize("text", ["a \ud800 b", "\udbff", "ok \udc7f", "ok \udd00 then"])
+def test_lone_surrogate_text_raises_input_error(encoder, text):
+    with pytest.raises(InputError, match="lone surrogate U\\+D[89ABCD][0-9A-F]{2}"):
+        encoder.encode_text(text)
+
+
+# ---------------------------------------------------------------------------
+# bucket counts against the per-position loop
+
+
+def reference_bucket_counts(encoder, chars):
+    """The bucket counts by hashing every n-gram position (n = 1..3) of the
+    UTF-8 bytes, one `blake2b` call each."""
+    counts = np.zeros(encoder.n_buckets)
+    data = chars.encode("utf-8", errors="surrogateescape")
+    for n in (1, 2, 3):
+        for i in range(len(data) - n + 1):
+            digest = hashlib.blake2b(data[i: i + n], digest_size=8).digest()
+            counts[int.from_bytes(digest, "little") % encoder.n_buckets] += 1.0
+    return counts
+
+
+def assert_counts_equal_reference(encoder, chars):
+    got, want = encoder._bucket_counts(chars), reference_bucket_counts(encoder, chars)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), repr(chars[:40])
+
+
+@pytest.mark.parametrize("n_buckets", [1, 7, 2048])
+def test_bucket_counts_equal_reference_on_random_text(n_buckets):
+    encoder = HashedNgramEncoder(embed_dim=4, n_buckets=n_buckets)
+    alphabets = ("abcdefghij xyz.,\n",                      # ASCII
+                 "aé ßü—龍の物語\U0001f409ÿ",                  # 2-, 3- and 4-byte UTF-8
+                 "ab \udc80\udcc3\udca9\udcff",               # escaped bytes 0x80..0xFF
+                 "ab é\udce9龍\udcff\U0001f409 ")
+    rng = random.Random(20221019 + n_buckets)
+    for alphabet in alphabets:
+        for length in [0, 1, 2, 3, 4, 5, 17, 200, 2000]:
+            for _ in range(3 if length < 200 else 1):
+                assert_counts_equal_reference(
+                    encoder, "".join(rng.choice(alphabet) for _ in range(length)))
+    assert_counts_equal_reference(encoder, "aaaa" * 500)      # one n-gram, many times
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (24, 24), (37, 53), (96, 96), (224, 224),
+                                   (1, 1, 3), (24, 24, 3), (96, 96, 3), (224, 224, 3)])
+def test_bucket_counts_equal_reference_on_random_rasters(tmp_path, shape):
+    encoder = HashedNgramEncoder()
+    pixels = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+    chars = pixels.tobytes().decode("latin-1")
+    assert_counts_equal_reference(encoder, chars)
+    if len(shape) == 2:
+        write_pgm(tmp_path / "random.pgm", pixels)
+        want = encoder._project(reference_bucket_counts(encoder, chars))
+        assert encoder.encode_image(tmp_path / "random.pgm").tobytes() == want.tobytes()
+
+
+def test_each_distinct_ngram_is_hashed_once(tmp_path, monkeypatch):
+    import ppst.encoding
+    encoder = HashedNgramEncoder()
+    path = render_text_image(tmp_path / "cat.pgm", "a red cat sitting on the table")
+    data = load_raster(path).tobytes()
+    distinct = sum(len({data[i: i + n] for i in range(len(data) - n + 1)}) for n in (1, 2, 3))
+    assert len(data) == 24 * 24 and distinct < 100      # 1,725 n-gram positions
+    want = encoder.encode_image(path)
+    hashed = []
+    blake2b = hashlib.blake2b
+
+    def counting_blake2b(message, **kwargs):
+        hashed.append(bytes(message))
+        return blake2b(message, **kwargs)
+
+    monkeypatch.setattr(ppst.encoding.hashlib, "blake2b", counting_blake2b)
+    assert encoder.encode_image(path).tobytes() == want.tobytes()
+    assert len(hashed) == len(set(hashed)) == distinct
