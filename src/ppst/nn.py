@@ -2,9 +2,10 @@
 
 Every layer exposes ``forward(x) -> (y, cache)`` and ``backward(dy, cache) -> dx``;
 ``backward`` accumulates into the ``grad`` of every param that has a gradient. A
-param frozen by ``freeze_params`` has none (``grad`` is None), so backward skips
-its products and only carries ``dx`` through. Caches are passed explicitly so
-forward-only inference is stateless and safe to run concurrently. A cache holds
+param owns a gradient buffer only after its first ``zero_grad``; one never
+trained, or frozen by ``freeze_params``, has none (``grad`` is None), so backward
+skips its products and only carries ``dx`` through. Caches are passed explicitly
+so forward-only inference is stateless and safe to run concurrently. A cache holds
 only what backward reads: a Linear's input, LayerNorm's (xhat, 1/std), an
 activation's output (tanh), input (relu) or slope (gelu), and attention's q, k,
 v and weights. Layers and ``Adam.step`` work in place on their own arrays, never
@@ -26,16 +27,23 @@ from .errors import ConfigurationError
 
 
 class Param:
-    """A tensor with an accumulated gradient, or ``grad`` None while frozen."""
+    """A tensor and its accumulated gradient. ``grad`` is None until the first
+    ``zero_grad`` allocates it, so a model that is not trained holds none, and
+    while frozen: ``zero_grad`` refuses a read-only param rather than unfreeze it."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
+    def zero_grad(self, name="param"):
+        if not self.value.flags.writeable:
+            raise ConfigurationError(f"{name} is frozen: zero_grad would give it a gradient")
+        if self.grad is None:
+            self.grad = np.zeros(self.value.shape)
+        else:
+            self.grad[...] = 0.0
 
     @property
     def size(self):
@@ -239,8 +247,8 @@ class Mlp:
     def backward(self, dy, cache):
         fc_cache, act_cache, out_cache = cache
         da = self.out.backward(dy, out_cache)
-        dh = _gelu_bwd(da, act_cache)
-        return self.fc.backward(dh, fc_cache)
+        da *= act_cache    # _gelu_bwd in place: da is out.backward's fresh array
+        return self.fc.backward(da, fc_cache)
 
     def params(self, prefix):
         return {**self.fc.params(f"{prefix}.fc"), **self.out.params(f"{prefix}.out")}
@@ -338,13 +346,14 @@ class Adam:
         self.scratch = (np.empty(self.BLOCK), np.empty(self.BLOCK))
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+        for k, p in self.params.items():
+            p.zero_grad(f"Adam: param {k!r}")
 
     def step(self):
         for k, p in self.params.items():    # all checked before any is updated
             if p.grad is None:
-                raise ConfigurationError(f"Adam: param {k!r} has no gradient (frozen)")
+                raise ConfigurationError(f"Adam: param {k!r} has no gradient "
+                                         "(frozen, or zero_grad was not called)")
             if not (p.value.flags.c_contiguous and p.grad.flags.c_contiguous):
                 raise ConfigurationError(f"Adam: param {k!r} is not C-contiguous")
         self.t += 1

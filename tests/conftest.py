@@ -34,6 +34,8 @@ def grads_unfrozen_and_frozen(lm, trainable, backward):
         backward()
         return {name: p.grad.copy() for name, p in trainable.items()}
 
+    for p in lm.params().values():
+        p.zero_grad()
     unfrozen = run()
     lm_grads = {name: (p.grad, p.grad.copy()) for name, p in lm.params().items()}
     assert any(g.any() for g, _ in lm_grads.values())

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import grads_unfrozen_and_frozen, make_tiny_lm
+from test_mapper import StubEncoder
 from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
                            StyleAdapterSet, StyledLanguageModel, attach,
                            default_adapter_config, train_adapter,
                            train_full_finetune)
-from ppst.corpus import StyledPassage
+from ppst.corpus import ImageCaptionPair, StyledPassage
 from ppst.errors import CompatibilityError, ConfigurationError, TrainingDiverged
+from ppst.generation import DecodeConfig, generate
 from ppst.lm import CausalTransformerLM
+from ppst.mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from ppst.synthetic import make_style_passages
 
 
@@ -234,6 +237,34 @@ def test_full_finetune_tunes_a_copy_sharing_no_array(tiny_lm):
     for name, p in tuned.params().items():
         for a in (p.value, p.grad):
             assert not any(np.shares_memory(a, b) for b in base_arrays), name
+
+
+def test_loads_and_decode_views_hold_no_gradient_buffer(tmp_path, tiny_lm):
+    tiny_lm.save(tmp_path / "lm")
+    lm = CausalTransformerLM.load(tmp_path / "lm")
+    StyleAdapterSet.create("romance", lm, seed=0).save(tmp_path / "ad")
+    adapter_set = StyleAdapterSet.load(tmp_path / "ad", lm)
+    PrefixMapper(MapperConfig(input_dim=4, lm_embed_dim=8, prefix_length=2),
+                 seed=0).save(tmp_path / "mapper")
+    mapper = PrefixMapper.load(tmp_path / "mapper")
+    generate(mapper.map_prefix(np.ones(4)), attach(lm, adapter_set),
+             DecodeConfig(beam_size=2, min_length=2, max_length=6))
+    for params in (tiny_lm.params(), lm.params(), adapter_set.params(), mapper.params()):
+        assert all(p.grad is None for p in params.values())
+
+
+def test_trainers_give_gradient_buffers_to_trained_params_only(tiny_lm):
+    passages = make_style_passages("romance", 5, seed=0)
+    cfg = AdapterTrainConfig(max_epochs=1, val_fraction=0.0)
+    adapter_set, _ = train_adapter(passages, tiny_lm, cfg)
+    tuned, _ = train_full_finetune(passages, tiny_lm, cfg)
+    pairs = [ImageCaptionPair(f"ref{i}", "w1 w2 w3") for i in range(4)]
+    mapper, _ = train_mapper(pairs, StubEncoder(4), tiny_lm, MapperTrainConfig(max_epochs=1),
+                             MapperConfig(input_dim=4, lm_embed_dim=8, prefix_length=2))
+    assert all(p.grad is None for p in tiny_lm.params().values())
+    for params in (adapter_set.params(), tuned.params(), mapper.params()):
+        assert all(p.grad is not None and p.grad.shape == p.value.shape
+                   for p in params.values())
 
 
 def test_adapter_checkpoint_round_trip(tmp_path, tiny_lm):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.special import erf
 from conftest import central_difference, grad_close
 from ppst import nn
 from ppst.errors import ConfigurationError
+from ppst.lm import CausalTransformerLM, LmConfig
+from ppst.tokenizer import WordTokenizer
 
 
 def check_param_gradients(layer, forward_loss, rng, samples=6):
@@ -175,6 +178,7 @@ def test_adam_reduces_quadratic():
 
 def test_freeze_params_blocks_writes():
     p = nn.Param(np.zeros(3))
+    p.zero_grad()
     grad = p.grad
     with nn.freeze_params({"p": p}):
         with pytest.raises(ValueError):
@@ -188,6 +192,7 @@ def test_freeze_params_blocks_writes():
 def test_adam_rejects_frozen_and_non_contiguous_params():
     rng = np.random.default_rng(10)
     live, frozen = nn.Param(rng.standard_normal(4)), nn.Param(rng.standard_normal(4))
+    live.zero_grad()
     live.grad += 1.0
     before = live.value.copy()
     opt = nn.Adam({"live.w": live, "frozen.w": frozen})
@@ -196,12 +201,75 @@ def test_adam_rejects_frozen_and_non_contiguous_params():
             opt.step()
     assert np.array_equal(live.value, before) and opt.t == 0    # nothing was updated
     strided = nn.Param(rng.standard_normal((3, 4)).T)
+    strided.zero_grad()
     with pytest.raises(ConfigurationError, match="'strided.w' is not C-contiguous"):
         nn.Adam({"strided.w": strided}).step()
     bad_grad = nn.Param(rng.standard_normal((4, 3)))
     bad_grad.grad = np.zeros((3, 4)).T
     with pytest.raises(ConfigurationError, match="'bad_grad.w' is not C-contiguous"):
         nn.Adam({"bad_grad.w": bad_grad}).step()
+
+
+def test_zero_grad_allocates_the_buffer_once():
+    p = nn.Param(np.ones((2, 3)))
+    assert p.grad is None                 # a param holds no gradient until trained
+    p.zero_grad()
+    grad = p.grad
+    assert grad.shape == (2, 3) and grad.flags.c_contiguous and not grad.any()
+    grad += 1.0
+    p.zero_grad()
+    assert p.grad is grad and not grad.any()    # zeroed in place after that
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_zero_grad_refuses_a_frozen_param(trained):
+    p = nn.Param(np.ones(3))
+    if trained:
+        p.zero_grad()
+    grad = p.grad
+    with nn.freeze_params({"p": p}):
+        with pytest.raises(ConfigurationError, match="frozen"):
+            p.zero_grad()
+        with pytest.raises(ConfigurationError, match="Adam: param 'p' is frozen"):
+            nn.Adam({"p": p}).zero_grad()
+        assert p.grad is None             # no buffer was allocated: still frozen
+    assert p.grad is grad
+
+
+def test_building_an_lm_allocates_no_gradient_memory():
+    """Building a model allocates its parameter values and little else."""
+    tok = WordTokenizer([f"w{i}" for i in range(40)])
+    cfg = LmConfig(vocab_size=tok.vocab_size, n_layer=4, n_head=4, d_model=128,
+                   max_seq_len=128)
+    tracemalloc.start()
+    try:
+        lm = CausalTransformerLM(cfg, tok, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * nn.param_count(lm.params())    # float64 values
+    assert all(p.grad is None for p in lm.params().values())
+
+
+def test_mlp_backward_allocates_one_hidden_gradient():
+    """dy @ W_out.T is the only (B, T, d_ff) array backward makes: the GELU slope
+    goes into it in place. With dx, (B, T, d_model), a quarter of one at
+    d_ff = 4 * d_model, or a (d_model, d_ff) weight-gradient product, an eighth
+    of one at B * T = 8 * d_model, the peak stays below 1.5 of them."""
+    b, t, d, d_ff = 4, 64, 32, 128
+    rng = np.random.default_rng(19)
+    mlp = nn.Mlp(d, d_ff, rng)
+    for p in mlp.params("x").values():
+        p.zero_grad()
+    _, cache = mlp.forward(rng.standard_normal((b, t, d)))
+    dy = rng.standard_normal((b, t, d))
+    tracemalloc.start()
+    try:
+        mlp.backward(dy, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * b * t * d_ff
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +322,8 @@ def test_layernorm_is_bit_equal_to_textbook():
     layer.bias.value[:] = rng.standard_normal(48)
     x = rng.standard_normal((3, 7, 48)) * 2 + 0.5
     dy = rng.standard_normal(x.shape)
+    for p in layer.params("x").values():
+        p.zero_grad()
     y, cache = layer.forward(x)
     dx = layer.backward(dy, cache)
 
@@ -297,6 +367,8 @@ def test_attention_is_bit_equal_to_textbook():
     layer = nn.CausalSelfAttention(32, 4, rng)
     x = rng.standard_normal((3, 9, 32))
     dy = rng.standard_normal(x.shape)
+    for p in layer.params("x").values():
+        p.zero_grad()
     y, cache = layer.forward(x)
     dx = layer.backward(dy, cache)
 
@@ -354,3 +426,28 @@ def test_mlp_forward_without_slope_is_bit_equal_and_caches_none():
     y_decode, decode_cache = mlp.forward(x, backward=False)
     assert np.array_equal(y_decode, y)
     assert cache[1] is not None and decode_cache[1] is None
+
+
+def test_mlp_backward_is_bit_equal_to_textbook():
+    rng = np.random.default_rng(18)
+    mlp = nn.Mlp(16, 64, rng)
+    x = rng.standard_normal((3, 5, 16))
+    dy = rng.standard_normal(x.shape)
+    for p in mlp.params("x").values():
+        p.zero_grad()
+    y, cache = mlp.forward(x)
+    dx = mlp.backward(dy, cache)
+
+    fc, out = mlp.fc, mlp.out
+    h = x @ fc.w.value + fc.b.value
+    a = 0.5 * h * (1.0 + erf(h / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    slope = cdf + h * pdf
+    assert np.array_equal(y, a @ out.w.value + out.b.value)
+    dh = (dy @ out.w.value.T) * slope
+    assert np.array_equal(dx, dh @ fc.w.value.T)
+    assert np.array_equal(out.w.grad, a.reshape(-1, 64).T @ dy.reshape(-1, 16))
+    assert np.array_equal(out.b.grad, dy.reshape(-1, 16).sum(axis=0))
+    assert np.array_equal(fc.w.grad, x.reshape(-1, 16).T @ dh.reshape(-1, 64))
+    assert np.array_equal(fc.b.grad, dh.reshape(-1, 64).sum(axis=0))
