@@ -8,20 +8,20 @@ The up projection starts at zero, so a fresh adapter set is exactly the
 identity and the composed model reproduces the plain LM. Training one set per
 genre on style-filtered passages gives a swappable, plug-and-play stylistic
 LM; the base weights are never touched. `train_full_finetune` covers the
-non-styled comparison system (all LM parameters trained, no adapters).
+non-styled comparison system (all LM parameters trained, no adapters). The adapters,
+the fine-tune, the mapper and base-LM pretraining all train through `nn.train_loop`.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint, tensors_fingerprint
-from .errors import CompatibilityError, ConfigurationError, TrainingDiverged
+from .errors import CompatibilityError, ConfigurationError
 from .lm import CausalTransformerLM, sequence_nll, teacher_forced_batch
 from .nn import masked_cross_entropy
 
@@ -223,8 +223,7 @@ class StyledLanguageModel:
 
     def perplexity(self, token_lists):
         """exp(mean NLL per token); lower is a better fit."""
-        nll, count = sequence_nll(self.base_lm, token_lists, self.adapters)
-        return float(np.exp(nll / max(count, 1)))
+        return float(np.exp(sequence_nll(self.base_lm, token_lists, self.adapters)))
 
     def decode(self, token_ids):
         return self.base_lm.tokenizer.decode(token_ids)
@@ -262,7 +261,7 @@ class AdapterTrainConfig:
 
 
 def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
-    """Shared loop for adapter training and full fine-tuning."""
+    """`nn.train_loop` on a seeded split that holds `val_fraction` of the sequences out."""
     rng = np.random.default_rng(cfg.seed)
     n_val = int(len(token_lists) * cfg.val_fraction)
     order = rng.permutation(len(token_lists))
@@ -270,40 +269,18 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
     train = [token_lists[i] for i in order[n_val:]]
     if not train:
         raise ConfigurationError(f"{label}: no training sequences left")
-
     max_len = min(cfg.max_seq_len, lm.config.max_seq_len)
-    optimizer = nn.Adam(trainable_params, lr=cfg.learning_rate)
-    loss_log = []
-    best_val = math.inf
-    stale = 0
-    for epoch in range(cfg.max_epochs):
-        epoch_losses = []
-        for start in range(0, len(train), cfg.batch_size):
-            chunk = train[start: start + cfg.batch_size]
-            inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer, max_len)
-            optimizer.zero_grad()
-            logits, cache = lm.forward_tokens(inputs, adapters)
-            loss, dlogits = masked_cross_entropy(logits, targets, mask)
-            del logits
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"{label}: non-finite loss at epoch {epoch}")
-            lm.backward_tokens(dlogits, cache)
-            del cache, dlogits    # so no two batches' caches are ever alive at once
-            optimizer.step()
-            epoch_losses.append(loss)
-        entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if val:
-            nll, count = sequence_nll(lm, val, adapters, cfg.batch_size)
-            entry["val_loss"] = nll / max(count, 1)
-            if entry["val_loss"] < best_val - 1e-9:
-                best_val = entry["val_loss"]
-                stale = 0
-            else:
-                stale += 1
-        loss_log.append(entry)
-        if val and stale >= cfg.patience:
-            break
-    return loss_log
+    validate = (lambda: sequence_nll(lm, val, adapters, cfg.batch_size)) if val else None
+
+    def batch_loss(chunk):
+        inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer, max_len)
+        logits, cache = lm.forward_tokens(inputs, adapters)
+        loss, dlogits = masked_cross_entropy(logits, targets, mask)
+        del logits
+        lm.backward_tokens(dlogits, cache)
+        return loss    # the cache dies with this frame: one batch is alive at a time
+
+    return nn.train_loop(trainable_params, cfg, lambda: train, batch_loss, label, validate)
 
 
 def train_adapter(passages, base_lm, cfg: AdapterTrainConfig, style=None,
@@ -325,9 +302,8 @@ def train_adapter(passages, base_lm, cfg: AdapterTrainConfig, style=None,
     adapter_set = StyleAdapterSet.create(style, base_lm, adapter_config, seed=cfg.seed)
     token_lists = [base_lm.tokenizer.encode(p.text) for p in passages]
     with nn.freeze_params(base_lm.params()):
-        loss_log = _train_text_model(token_lists, base_lm, adapter_set.params(),
-                                     adapter_set.blocks, cfg, f"adapter[{style}]")
-    return adapter_set, loss_log
+        return adapter_set, _train_text_model(token_lists, base_lm, adapter_set.params(),
+                                              adapter_set.blocks, cfg, f"adapter[{style}]")
 
 
 def train_full_finetune(passages, base_lm, cfg: AdapterTrainConfig):

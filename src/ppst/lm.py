@@ -181,7 +181,7 @@ def teacher_forced_batch(token_lists, tokenizer, max_seq_len):
 
 
 def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
-    """Total next-token negative log-likelihood and token count over sequences."""
+    """Mean next-token negative log-likelihood per token over sequences."""
     total_nll = 0.0
     total_tokens = 0
     for start in range(0, len(token_lists), batch_size):
@@ -192,4 +192,4 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())
-    return total_nll, total_tokens
+    return total_nll / max(total_tokens, 1)

@@ -4,19 +4,19 @@ A two-layer feed-forward net projects the frozen encoder's d_e-dimensional
 embedding to prefix_length rows in the LM's input-embedding space. Training
 maximizes caption likelihood through the frozen LM: the prefix is prepended
 to the embedded caption tokens, loss is next-token cross-entropy on caption
-positions only, and only mapper parameters are updated.
+positions only, and only mapper parameters are updated. It trains through
+`nn.train_loop`, as do base-LM pretraining, the style adapters and the fine-tune.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError
 from .nn import masked_cross_entropy
 
 
@@ -169,22 +169,12 @@ def train_mapper(pairs, encoder, base_lm, cfg: MapperTrainConfig,
         cap = base_lm.tokenizer.encode(pair.caption_text, add_eos=True)
         captions.append(cap[: max_total - p])
 
-    optimizer = nn.Adam(mapper.params(), lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    loss_log = []
+
+    def batch_loss(idx):
+        return prefix_batch_loss(mapper, base_lm, embeddings[idx],
+                                 [captions[i] for i in idx], backward=True)
+
     with nn.freeze_params(base_lm.params()):
-        for epoch in range(cfg.max_epochs):
-            order = rng.permutation(len(pairs))
-            epoch_losses = []
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start: start + cfg.batch_size]
-                optimizer.zero_grad()
-                loss = prefix_batch_loss(mapper, base_lm, embeddings[idx],
-                                         [captions[i] for i in idx], backward=True)
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite mapper loss at epoch {epoch}, batch {start}")
-                optimizer.step()
-                epoch_losses.append(loss)
-            loss_log.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses))})
-    return mapper, loss_log
+        return mapper, nn.train_loop(mapper.params(), cfg,
+                                     lambda: rng.permutation(len(pairs)), batch_loss, "mapper")

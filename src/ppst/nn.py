@@ -13,7 +13,10 @@ on an input or a cache, in the operation order of the textbook expressions, so
 results are bit-equal to those (pinned in tests/test_nn.py). A forward given a
 ``past`` (attention's k/v buffers) is decode-only: it writes k and v into the
 buffers in place, and the MLP caches no GELU slope, so no backward may follow.
-All math runs in float64; checkpoints store float32 (see artifacts.py).
+Every model trains through ``train_loop``: per batch it zeroes the gradients, runs
+the batch forward and backward, checks the loss is finite and steps Adam; after each
+epoch it writes one log entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop
+early on the validation loss. All math runs in float64; checkpoints store float32.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingDiverged
 
 
 class Param:
@@ -378,6 +381,36 @@ class Adam:
                 b += self.EPS
                 a /= b
                 value -= a
+
+
+def train_loop(params, cfg, epoch_order, batch_loss, label, validate=None):
+    """Adam over `params`, `cfg.max_epochs` epochs of `cfg.batch_size` slices of
+    `epoch_order()`; `cfg.patience` epochs without a better `validate()` stop it."""
+    optimizer = Adam(params, lr=cfg.learning_rate)
+    loss_log = []
+    best_val = math.inf
+    best_epoch = -1
+    for epoch in range(cfg.max_epochs):
+        order = epoch_order()
+        epoch_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            optimizer.zero_grad()
+            loss = batch_loss(order[start: start + cfg.batch_size])
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"{label}: non-finite loss at epoch {epoch}, "
+                                       f"batch {start // cfg.batch_size}")
+            optimizer.step()
+            epoch_losses.append(loss)
+        entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
+        loss_log.append(entry)
+        if validate is not None:
+            entry["val_loss"] = validate()
+            if entry["val_loss"] < best_val - 1e-9:
+                best_val = entry["val_loss"]
+                best_epoch = epoch
+            if epoch - best_epoch >= cfg.patience:
+                break
+    return loss_log
 
 
 def param_count(params):

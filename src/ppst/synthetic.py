@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MAX_WORDS, MIN_WORDS, ImageCaptionPair, StyledPassage
+from .corpus import MAX_WORDS, MIN_WORDS, ImageCaptionPair, StyledPassage, chunk_book
 from .encoding import write_pgm
 
 ROMANCE_WORDS = [
@@ -98,8 +98,8 @@ def make_caption_dataset(directory, n, seed=0):
 def make_book_files(directory, seed=0):
     """A small on-disk book collection + genre catalog for corpus-CLI runs.
 
-    Three books: romance and action titles with enough 30-60-word paragraphs,
-    plus one book absent from the catalog (must be dropped).
+    Three books: romance and action titles with at least one 30-60-word paragraph
+    each, plus one book absent from the catalog (must be dropped).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -112,9 +112,10 @@ def make_book_files(directory, seed=0):
     for title, style, n_paragraphs in specs:
         words = STYLE_VOCAB.get(style, CAPTION_OBJECTS)
         paragraphs = []
-        for _ in range(n_paragraphs):
-            # mix of keepable (30-60) and droppable paragraph lengths
-            count = int(rng.choice([10, 25, 35, 45, 55, 70]))
+        for i in range(n_paragraphs):
+            # keepable (30-60) and droppable lengths; a catalogued book keeps at least one
+            needs_one = style and i == n_paragraphs - 1 and not any(map(chunk_book, paragraphs))
+            count = int(rng.choice([35, 45, 55] if needs_one else [10, 25, 35, 45, 55, 70]))
             paragraphs.append(" ".join(rng.choice(words, size=count)))
         (directory / f"{title}.txt").write_text("\n\n".join(paragraphs),
                                                 encoding="utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from ppst.corpus import (CANONICAL_GENRES, RECOGNIZED_GENRES, GenreCatalog,
                          load_passages, match_genres, normalize_title,
                          save_caption_pairs, save_passages, subsample)
 from ppst.errors import ConfigurationError, InputError
+from ppst.synthetic import make_book_files
 
 
 def words(n, prefix="w"):
@@ -60,6 +62,33 @@ def test_chunk_synthetic_corpus_against_recount():
 def test_chunk_is_pure():
     text = words(40) + "\n\n" + words(3)
     assert chunk_book(text) == chunk_book(text)
+
+
+def test_every_catalogued_synthetic_book_gives_a_passage(tmp_path):
+    """Each seed's two catalogued books keep at least one passage (seeds 11 and
+    94 once drew no 30-60-word paragraph for one of them)."""
+    for seed in range(200):
+        books = make_book_files(tmp_path / str(seed), seed=seed)
+        catalog = GenreCatalog.from_table(books / "catalog.tsv")
+        passages = build_styled_passages(
+            [(f.stem, f.read_text(encoding="utf-8")) for f in books.glob("*.txt")], catalog)
+        assert {p.source_title for p in passages} == {"Letters at Dusk", "Steel Convoy"}, seed
+
+
+# sha256 of make_book_files(seed=0), which builds the CLI test workspace and the demos
+SEED_0_BOOKS = {
+    "Letters at Dusk.txt": "5fac9868a5e0fed590b13f89ae447c2cc27dbec1670b40ef1e7a8f9f03ceaa8b",
+    "Steel Convoy.txt": "8cd7be93a09dad0347fa8275fef85f2c81301e2a41871c99176f7af13179e7b7",
+    "Uncatalogued Manuscript.txt":
+        "b2283ab55ff922cf0f147587ef00b0e927961c30cb81a76f3a9f1e8d1d093c43",
+    "catalog.tsv": "fdef58cceb510070d19f7186c3ac0e2983fc55a486be6b55d85b2c974d82379a",
+}
+
+
+def test_seed_0_book_files_are_pinned(tmp_path):
+    books = make_book_files(tmp_path, seed=0)
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in books.iterdir()} == SEED_0_BOOKS
 
 
 # ---------------------------------------------------------------------------

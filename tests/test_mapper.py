@@ -1,4 +1,6 @@
 import hashlib
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
 from ppst.corpus import ImageCaptionPair
 from ppst.encoding import EmbeddingCache
 from ppst.errors import CompatibilityError, ConfigurationError
+from ppst.lm import CausalTransformerLM
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, build_prefix_batch,
                          prefix_batch_loss, train_mapper)
 from ppst.nn import masked_cross_entropy
@@ -172,11 +175,35 @@ def test_train_mapper_aborts_on_non_finite_loss(tiny_lm):
     pairs = [ImageCaptionPair(f"r{i}", "w4 w5") for i in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")       # inf arithmetic is the point here
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged,
+                           match=re.escape("mapper: non-finite loss at epoch 0, batch 0")):
             train_mapper(pairs, StubEncoder(4), tiny_lm,
                          MapperTrainConfig(max_epochs=1, batch_size=4, max_seq_len=16),
                          MapperConfig(input_dim=4, lm_embed_dim=8, hidden_dim=4,
                                       prefix_length=2))
+
+
+def test_train_mapper_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
+    """When a batch's forward starts, the previous batch's logits and forward
+    cache are gone."""
+    forward = CausalTransformerLM.forward_embeds
+    earlier = []
+    forwards = []
+
+    def tracked(self, embeds, adapters=None, past=None):
+        assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
+        logits, cache = forward(self, embeds, adapters, past)
+        _, _, head_input, _ = cache
+        earlier[:] = [weakref.ref(logits), weakref.ref(head_input)]
+        forwards.append(len(embeds))
+        return logits, cache
+
+    monkeypatch.setattr(CausalTransformerLM, "forward_embeds", tracked)
+    pairs = [ImageCaptionPair(f"r{i}", "w4 w5 w6") for i in range(7)]
+    train_mapper(pairs, StubEncoder(4), tiny_lm,
+                 MapperTrainConfig(max_epochs=2, batch_size=3, max_seq_len=16),
+                 MapperConfig(input_dim=4, lm_embed_dim=8, hidden_dim=4, prefix_length=2))
+    assert forwards == [3, 3, 1] * 2    # two epochs of 3 + 3 + 1 pairs
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -122,3 +122,18 @@ def test_imports_are_declared():
                 continue
             undeclared.append((path.name, line, module))
     assert not undeclared, f"imports of undeclared modules: {undeclared}"
+
+
+def zero_grad_calls(tree):
+    """Lines of every `<expr>.zero_grad(...)` call."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "zero_grad"]
+
+
+def test_only_the_training_loop_zeroes_gradients():
+    """Every model trains through `nn.train_loop`: no other module zeroes
+    gradients, so a second training loop cannot come back unnoticed."""
+    calls = [(path.name, line) for path in SOURCES if path.name != "nn.py"
+             for line in zero_grad_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not calls, f"zero_grad called outside nn.py: {calls}"
