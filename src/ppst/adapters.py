@@ -58,16 +58,16 @@ class AdapterBlock:
 
     def forward(self, h):
         n, ln_cache = self.ln.forward(h)
-        d, down_cache = self.down.forward(n)
+        d, _ = self.down.forward(n)    # backward rebuilds n from ln_cache
         a, act_cache = self.act_fwd(d)
         u, up_cache = self.up.forward(a)
-        return h + u, (ln_cache, down_cache, act_cache, up_cache)
+        return h + u, (ln_cache, act_cache, up_cache)
 
     def backward(self, dy, cache):
-        ln_cache, down_cache, act_cache, up_cache = cache
+        ln_cache, act_cache, up_cache = cache
         da = self.up.backward(dy, up_cache)
         dd = self.act_bwd(da, act_cache)
-        dn = self.down.backward(dd, down_cache)
+        dn = self.down.backward(dd, self.ln.affine(ln_cache[0]))
         return dy + self.ln.backward(dn, ln_cache)
 
     def params(self, prefix):

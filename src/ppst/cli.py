@@ -483,13 +483,23 @@ def _image_fingerprint(image_ref):
         return None
 
 
+def _record_row(rec):
+    """One records line as an evaluable row; None for an image generate skipped."""
+    if not isinstance(rec, dict):
+        raise InputError(f"a record must be a JSON object, not {type(rec).__name__}")
+    if "story" not in rec:
+        return None
+    row = SimpleNamespace(image_ref=rec["image_ref"], story_text=rec["story"],
+                          style=rec.get("style", ""))
+    if not all(isinstance(f, str) for f in vars(row).values()):
+        raise InputError("a record's image_ref, story and style must be strings")
+    return row
+
+
 def cmd_evaluate(cfg, records_path, gold_path, force=False):
     records_path = _require(records_path, "records file")
     gold_path = _require(gold_path, "gold captions file")
-    # lines of images that generate skipped carry no story
-    rows = read_jsonl(records_path, lambda rec: SimpleNamespace(
-        image_ref=rec["image_ref"], story_text=rec["story"], style=rec.get("style", ""))
-        if "story" in rec else None)
+    rows = read_jsonl(records_path, _record_row)
     if not rows:
         raise InputError(f"no evaluable records in {records_path}")
 

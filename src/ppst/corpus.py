@@ -45,6 +45,10 @@ class StyledPassage:
     source_title: str
 
     def __post_init__(self):
+        if not (isinstance(self.text, str) and isinstance(self.word_count, int)
+                and isinstance(self.genres, list) and isinstance(self.source_title, str)):
+            raise InputError("a passage needs a string text and source_title, an integer "
+                             "word_count and a list of genres")
         if not (MIN_WORDS <= self.word_count <= MAX_WORDS):
             raise InputError(f"passage of {self.source_title!r}: word_count "
                              f"{self.word_count} outside [{MIN_WORDS}, {MAX_WORDS}]")
@@ -67,6 +71,8 @@ class ImageCaptionPair:
     split: str = "train"
 
     def __post_init__(self):
+        if not all(isinstance(f, str) for f in (self.image_ref, self.caption_text, self.split)):
+            raise InputError("a caption pair's image_ref, caption and split must be strings")
         if not self.caption_text:
             raise InputError(f"empty caption for {self.image_ref}")
         if self.split not in _SPLITS:

@@ -109,12 +109,13 @@ class CausalTransformerLM:
                 ac = None
             caches.append((c, ac))
         hn, ln_cache = self.ln_f.forward(h)
-        logits, head_cache = self.head.forward(hn)
-        return logits, (caches, ln_cache, head_cache, adapters)
+        logits, _ = self.head.forward(hn)    # backward rebuilds hn from ln_cache
+        return logits, (caches, ln_cache, adapters)
 
     def backward(self, dlogits, cache):
-        caches, ln_cache, head_cache, adapters = cache
-        dh = self.ln_f.backward(self.head.backward(dlogits, head_cache), ln_cache)
+        caches, ln_cache, adapters = cache
+        dhn = self.head.backward(dlogits, self.ln_f.affine(ln_cache[0]))
+        dh = self.ln_f.backward(dhn, ln_cache)
         for i in reversed(range(len(self.blocks))):
             block_cache, adapter_cache = caches[i]
             if adapters is not None:

@@ -1,22 +1,25 @@
 """Minimal neural-network layers on numpy arrays with explicit backward passes.
 
 Every layer exposes ``forward(x) -> (y, cache)`` and ``backward(dy, cache) -> dx``;
-``backward`` accumulates into the ``grad`` of every param that has a gradient. A
-param owns a gradient buffer only after its first ``zero_grad``; one never
-trained, or frozen by ``freeze_params``, has none (``grad`` is None), so backward
-skips its products and only carries ``dx`` through. Caches are passed explicitly
-so forward-only inference is stateless and safe to run concurrently. A cache holds
-only what backward reads: a Linear's input, LayerNorm's (xhat, 1/std), an
-activation's output (tanh), input (relu) or slope (gelu), and attention's q, k,
-v and weights. Layers and ``Adam.step`` work in place on their own arrays, never
-on an input or a cache, in the operation order of the textbook expressions, so
-results are bit-equal to those (pinned in tests/test_nn.py). A forward given a
-``past`` (attention's k/v buffers) is decode-only: it writes k and v into the
-buffers in place, and the MLP caches no GELU slope, so no backward may follow.
-Every model trains through ``train_loop``: per batch it zeroes the gradients, runs
-the batch forward and backward, checks the loss is finite and steps Adam; after each
-epoch it writes one log entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop
-early on the validation loss. All math runs in float64; checkpoints store float32.
+``backward`` accumulates into the ``grad`` of every param that has a gradient. A param
+owns a gradient buffer only after its first ``zero_grad``; one never trained, or
+frozen by ``freeze_params``, has none (``grad`` is None), so backward skips its
+products and only carries ``dx`` through. Caches are passed explicitly so forward-only
+inference is stateless and safe to run concurrently. A cache holds what backward reads
+and cannot rebuild cheaply: a Linear's input, LayerNorm's (xhat, 1/std), an
+activation's output (tanh), input (relu) or slope (gelu), and attention's q, k, v and
+weights. Backward rebuilds the rest with the forward's own operations, bit for bit: a
+LayerNorm output that feeds a Linear from xhat (``LayerNorm.affine``; it is the ``x``
+of attention's and the MLP's ``backward(dy, cache, x)``), and attention's context from
+its weights and v. Layers and ``Adam.step`` work in place on their own arrays, never
+on an input or a cache, in the operation order of the textbook expressions, so results
+are bit-equal to those (pinned in tests/test_nn.py). A forward given a ``past``
+(attention's k/v buffers) is decode-only: it writes k and v into the buffers in place,
+and the MLP caches no GELU slope, so no backward may follow. Every model trains
+through ``train_loop``: per batch it zeroes the gradients, runs the batch forward and
+backward, checks the loss is finite and steps Adam; after each epoch it writes one log
+entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop early on the validation
+loss. All math runs in float64; checkpoints store float32.
 """
 
 from __future__ import annotations
@@ -159,9 +162,13 @@ class LayerNorm:
         y = np.multiply(xhat, xhat)
         inv = 1.0 / np.sqrt(_mean(y) + self.eps)
         xhat *= inv
-        np.multiply(xhat, self.gain.value, out=y)
+        return self.affine(xhat, out=y), (xhat, inv)
+
+    def affine(self, xhat, out=None):
+        """xhat * gain + bias: forward's output, or the same array rebuilt from its cache."""
+        y = np.multiply(xhat, self.gain.value, out=out)
         y += self.bias.value
-        return y, (xhat, inv)
+        return y
 
     def backward(self, dy, cache):
         xhat, inv = cache
@@ -182,6 +189,12 @@ class LayerNorm:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
+def _context(attn, v):
+    """The heads' outputs side by side, (B, T, d_model): attention's proj input."""
+    b, h, t, _ = attn.shape
+    return (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, h * v.shape[-1])
+
+
 class CausalSelfAttention:
     """Multi-head self-attention with a causal mask, no dropout."""
 
@@ -197,8 +210,8 @@ class CausalSelfAttention:
         """`past=(K, V, S)`, buffers whose first B rows hold positions ..S - 1, puts x
         at S.. (decode only): x's k and v are written there; attention reads
         [:B, :, :S + T]."""
-        b, t, d = x.shape
-        qkv, qkv_cache = self.qkv.forward(x)
+        b, t, _ = x.shape
+        qkv, _ = self.qkv.forward(x)
         q, k, v = qkv.reshape(b, t, 3, self.n_head, self.d_head).transpose(2, 0, 3, 1, 4)
         if past is not None:
             k_buf, v_buf, start = past
@@ -212,14 +225,14 @@ class CausalSelfAttention:
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-        y, proj_cache = self.proj.forward(ctx)
-        return y, (qkv_cache, q, k, v, attn, proj_cache)
+        y, _ = self.proj.forward(_context(attn, v))
+        return y, (q, k, v, attn)
 
-    def backward(self, dy, cache):
-        qkv_cache, q, k, v, attn, proj_cache = cache
+    def backward(self, dy, cache, x):
+        q, k, v, attn = cache
         b, h, t, dh = q.shape
-        dctx = self.proj.backward(dy, proj_cache).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        dctx = self.proj.backward(dy, _context(attn, v))
+        dctx = dctx.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
         dqkv = np.empty((b, t, 3 * h * dh))
         dq, dk, dv = dqkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)
         dv[...] = attn.transpose(0, 1, 3, 2) @ dctx
@@ -230,7 +243,7 @@ class CausalSelfAttention:
         dq /= math.sqrt(dh)
         dk[...] = dscores.transpose(0, 1, 3, 2) @ q
         dk /= math.sqrt(dh)
-        return self.qkv.backward(dqkv, qkv_cache)
+        return self.qkv.backward(dqkv, x)
 
     def params(self, prefix):
         return {**self.qkv.params(f"{prefix}.qkv"), **self.proj.params(f"{prefix}.proj")}
@@ -242,16 +255,16 @@ class Mlp:
         self.out = Linear(d_ff, d_model, rng)
 
     def forward(self, x, backward=True):
-        h, fc_cache = self.fc.forward(x)
-        a, act_cache = _gelu_fwd(h, backward)
-        y, out_cache = self.out.forward(a)
-        return y, (fc_cache, act_cache, out_cache)
+        h, _ = self.fc.forward(x)
+        a, slope = _gelu_fwd(h, backward)
+        y, _ = self.out.forward(a)
+        return y, (a, slope)
 
-    def backward(self, dy, cache):
-        fc_cache, act_cache, out_cache = cache
-        da = self.out.backward(dy, out_cache)
-        da *= act_cache    # _gelu_bwd in place: da is out.backward's fresh array
-        return self.fc.backward(da, fc_cache)
+    def backward(self, dy, cache, x):
+        a, slope = cache
+        da = self.out.backward(dy, a)
+        da *= slope    # _gelu_bwd in place: da is out.backward's fresh array
+        return self.fc.backward(da, x)
 
     def params(self, prefix):
         return {**self.fc.params(f"{prefix}.fc"), **self.out.params(f"{prefix}.out")}
@@ -276,9 +289,9 @@ class TransformerBlock:
 
     def backward(self, dy, cache):
         ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
-        dn2 = self.mlp.backward(dy, mlp_cache)
+        dn2 = self.mlp.backward(dy, mlp_cache, self.ln2.affine(ln2_cache[0]))
         dh = dy + self.ln2.backward(dn2, ln2_cache)
-        dn1 = self.attn.backward(dh, attn_cache)
+        dn1 = self.attn.backward(dh, attn_cache, self.ln1.affine(ln1_cache[0]))
         return dh + self.ln1.backward(dn1, ln1_cache)
 
     def params(self, prefix):

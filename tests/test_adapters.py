@@ -304,8 +304,8 @@ def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     def tracked(self, ids, adapters=None):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
         logits, cache = forward(self, ids, adapters)
-        (_, _, head_input, _), _ = cache
-        earlier[:] = [weakref.ref(logits), weakref.ref(head_input)]
+        (_, (ln_f_xhat, _), _), _ = cache
+        earlier[:] = [weakref.ref(logits), weakref.ref(ln_f_xhat)]
         forwards.append(len(ids))
         return logits, cache
 

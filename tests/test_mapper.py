@@ -193,8 +193,8 @@ def test_train_mapper_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     def tracked(self, embeds, adapters=None, past=None):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
         logits, cache = forward(self, embeds, adapters, past)
-        _, _, head_input, _ = cache
-        earlier[:] = [weakref.ref(logits), weakref.ref(head_input)]
+        _, (ln_f_xhat, _), _ = cache
+        earlier[:] = [weakref.ref(logits), weakref.ref(ln_f_xhat)]
         forwards.append(len(embeds))
         return logits, cache
 

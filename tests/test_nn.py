@@ -75,7 +75,7 @@ def test_attention_gradients():
         y, cache = layer.forward(x)
         loss, dy = quadratic_loss(y)
         if backward:
-            layer.backward(dy, cache)
+            layer.backward(dy, cache, x)
         return loss
 
     check_param_gradients(layer, run, rng)
@@ -261,11 +261,12 @@ def test_mlp_backward_allocates_one_hidden_gradient():
     mlp = nn.Mlp(d, d_ff, rng)
     for p in mlp.params("x").values():
         p.zero_grad()
-    _, cache = mlp.forward(rng.standard_normal((b, t, d)))
+    x = rng.standard_normal((b, t, d))
+    _, cache = mlp.forward(x)
     dy = rng.standard_normal((b, t, d))
     tracemalloc.start()
     try:
-        mlp.backward(dy, cache)
+        mlp.backward(dy, cache, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -370,7 +371,7 @@ def test_attention_is_bit_equal_to_textbook():
     for p in layer.params("x").values():
         p.zero_grad()
     y, cache = layer.forward(x)
-    dx = layer.backward(dy, cache)
+    dx = layer.backward(dy, cache, x)
 
     want, (q, k, v, attn, ctx) = textbook_attention(layer, x)
     assert np.array_equal(y, want)
@@ -393,12 +394,12 @@ def test_attention_is_bit_equal_to_textbook():
 def test_attention_step_with_past_is_bit_equal_to_textbook():
     rng = np.random.default_rng(15)
     layer = nn.CausalSelfAttention(32, 4, rng)
-    _, (_, _, past_k, past_v, _, _) = layer.forward(rng.standard_normal((5, 6, 32)))
+    _, (_, past_k, past_v, _) = layer.forward(rng.standard_normal((5, 6, 32)))
     # buffers with a spare row and spare positions, NaN wherever nothing was written
     k_buf, v_buf = np.full((2, 7, 4, 10, 8), np.nan)
     k_buf[:5, :, :6], v_buf[:5, :, :6] = past_k, past_v
     x = rng.standard_normal((5, 1, 32))
-    y, (_, _, k, v, _, _) = layer.forward(x, (k_buf, v_buf, 6))
+    y, (_, k, v, _) = layer.forward(x, (k_buf, v_buf, 6))
     want, (_, want_k, want_v, _, _) = textbook_attention(layer, x, (past_k, past_v))
     assert np.array_equal(y, want)
     assert np.array_equal(k, want_k) and np.array_equal(v, want_v)
@@ -436,7 +437,7 @@ def test_mlp_backward_is_bit_equal_to_textbook():
     for p in mlp.params("x").values():
         p.zero_grad()
     y, cache = mlp.forward(x)
-    dx = mlp.backward(dy, cache)
+    dx = mlp.backward(dy, cache, x)
 
     fc, out = mlp.fc, mlp.out
     h = x @ fc.w.value + fc.b.value

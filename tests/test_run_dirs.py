@@ -548,6 +548,54 @@ def test_bad_caption_line_exits_2(workspace, tmp_path, capsys):
     assert run_dirs(cfg, "build-corpus-") == before
 
 
+RECORD = {"image_ref": "a.pgm", "story": "a cat sat", "style": "romance"}
+CAPTION = {"image_ref": "a.pgm", "caption": "a cat"}
+PASSAGE = {"text": " ".join(["dusk"] * 30), "word_count": 30, "genres": ["romance"],
+           "source_title": "x"}
+
+
+@pytest.mark.parametrize("target, bad", [
+    ("records", dict(RECORD, story=5)),
+    ("records", dict(RECORD, story=None)),
+    ("records", dict(RECORD, story=["a", "cat"])),
+    ("records", dict(RECORD, image_ref=["a.pgm"])),
+    ("records", dict(RECORD, image_ref={"path": "a.pgm"})),
+    ("records", []),
+    ("gold", dict(CAPTION, caption=5)),
+    ("gold", dict(CAPTION, image_ref=["a.pgm"])),
+    ("captions", dict(CAPTION, caption=12345)),
+    ("passages", dict(PASSAGE, text=5)),
+], ids=["story-int", "story-null", "story-list", "image-ref-list", "image-ref-object",
+        "record-list", "gold-caption-int", "gold-image-ref-list", "caption-int", "text-int"])
+def test_field_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, target, bad):
+    """A JSONL line whose field has the wrong type exits 2 naming the line, and
+    a bad captions file leaves no build-corpus run."""
+    config_path, cfg, images = workspace
+    if target in ("records", "gold"):
+        files = {"records": [RECORD], "gold": [CAPTION]}
+        files[target].append(bad)
+        for name, rows in files.items():
+            (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        path = tmp_path / f"{target}.jsonl"
+        argv = ["evaluate", "--records", str(tmp_path / "records.jsonl"),
+                "--gold", str(tmp_path / "gold.jsonl")]
+    elif target == "captions":
+        path = tmp_path / "captions.jsonl"
+        path.write_text((images.parent / "captions_in.jsonl").read_text() + json.dumps(bad))
+        cfg["corpus"] = dict(cfg["corpus"], captions=str(path))
+        config_path.write_text(json.dumps(cfg))
+        argv = ["build-corpus"]
+    else:
+        (corpus_dir,) = run_dirs(cfg, "build-corpus-")
+        path = corpus_dir / "passages.jsonl"
+        path.write_text(path.read_text() + json.dumps(bad) + "\n")
+        argv = ["--force", "train-adapter", "--style", "romance"]
+    before = run_dirs(cfg, "build-corpus-")
+    line = len(path.read_text().splitlines())
+    exits_2_naming(f"{path}, line {line}", capsys, config_path, *argv)
+    assert run_dirs(cfg, "build-corpus-") == before
+
+
 def test_records_path_that_is_a_directory_exits_2(workspace, tmp_path, capsys):
     config_path, _, _ = workspace
     records = tmp_path / "records"
