@@ -142,6 +142,19 @@ def read_jsonl(path, parse):
     return out
 
 
+def require_utf8(**texts):
+    """Raise an InputError naming the first of `texts` that holds a lone
+    surrogate, as a JSON escape such as \\ud800 reads back: no UTF-8 file can
+    hold it, so an output that copies it could not be written."""
+    for name, text in texts.items():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            code = ord(exc.object[exc.start])
+            raise InputError(f"{name} holds the lone surrogate U+{code:04X}, which has "
+                             "no UTF-8 form") from None
+
+
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

@@ -51,8 +51,8 @@ from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
                        StyledLanguageModel, attach, default_adapter_config,
                        train_adapter, train_full_finetune, train_on_texts)
 from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
-                        read_jsonl, read_manifest, read_text, tensors_fingerprint,
-                        write_jsonl)
+                        read_jsonl, read_manifest, read_text, require_utf8,
+                        tensors_fingerprint, write_jsonl)
 from .encoding import HashedNgramEncoder
 from .errors import CompatibilityError, InputError, PpstError, TrainingDiverged
 from .generation import DecodeConfig, generate
@@ -493,6 +493,7 @@ def _record_row(rec):
                           style=rec.get("style", ""))
     if not all(isinstance(f, str) for f in vars(row).values()):
         raise InputError("a record's image_ref, story and style must be strings")
+    require_utf8(image_ref=row.image_ref, style=row.style)   # a story's: clip_score_error
     return row
 
 

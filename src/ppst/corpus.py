@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_jsonl, read_text, write_jsonl
+from .artifacts import read_jsonl, read_text, require_utf8, write_jsonl
 from .errors import ConfigurationError, InputError
 
 CANONICAL_GENRES = (
@@ -49,6 +49,7 @@ class StyledPassage:
                 and isinstance(self.genres, list) and isinstance(self.source_title, str)):
             raise InputError("a passage needs a string text and source_title, an integer "
                              "word_count and a list of genres")
+        require_utf8(text=self.text)
         if not (MIN_WORDS <= self.word_count <= MAX_WORDS):
             raise InputError(f"passage of {self.source_title!r}: word_count "
                              f"{self.word_count} outside [{MIN_WORDS}, {MAX_WORDS}]")
@@ -73,6 +74,7 @@ class ImageCaptionPair:
     def __post_init__(self):
         if not all(isinstance(f, str) for f in (self.image_ref, self.caption_text, self.split)):
             raise InputError("a caption pair's image_ref, caption and split must be strings")
+        require_utf8(image_ref=self.image_ref, caption=self.caption_text)
         if not self.caption_text:
             raise InputError(f"empty caption for {self.image_ref}")
         if self.split not in _SPLITS:

@@ -171,14 +171,22 @@ def pad_batch(sequences, pad_id):
     return ids, lengths
 
 
+def shifted_batch(anchor, sequences, pad_id):
+    """(input ids, target ids, loss mask): inputs are the anchor ids, then each
+    sequence less its last id; targets are the sequences from the anchor's last
+    position on, and the mask covers exactly each row's targets."""
+    start = len(anchor) - 1
+    inputs, ends = pad_batch([list(anchor) + list(s[:-1]) for s in sequences], pad_id)
+    targets, _ = pad_batch([[pad_id] * start + list(s) for s in sequences], pad_id)
+    positions = np.arange(inputs.shape[1])[None, :]
+    mask = (positions >= start) & (positions < ends[:, None])
+    return inputs, targets, mask.astype(np.float64)
+
+
 def teacher_forced_batch(token_lists, tokenizer, max_seq_len):
     """bos + tokens + eos, truncated; returns (input ids, target ids, loss mask)."""
-    full = [[tokenizer.bos_id] + list(t)[: max_seq_len - 2] + [tokenizer.eos_id]
-            for t in token_lists]
-    inputs, lengths = pad_batch([f[:-1] for f in full], tokenizer.pad_id)
-    targets, _ = pad_batch([f[1:] for f in full], tokenizer.pad_id)
-    mask = (np.arange(inputs.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
-    return inputs, targets, mask
+    sequences = [list(t)[: max_seq_len - 2] + [tokenizer.eos_id] for t in token_lists]
+    return shifted_batch([tokenizer.bos_id], sequences, tokenizer.pad_id)
 
 
 def sequence_nll(lm, token_lists, adapters=None, batch_size=16):

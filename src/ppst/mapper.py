@@ -2,9 +2,9 @@
 
 A two-layer feed-forward net projects the frozen encoder's d_e-dimensional
 embedding to prefix_length rows in the LM's input-embedding space. Training
-maximizes caption likelihood through the frozen LM: the prefix is prepended
-to the embedded caption tokens, loss is next-token cross-entropy on caption
-positions only, and only mapper parameters are updated. It trains through
+maximizes caption likelihood through the frozen LM, updating only the mapper.
+Its batches are the text trainers' layout (`lm.shifted_batch`) with the prefix
+in the bos slot, so only caption positions carry loss. It trains through
 `nn.train_loop`, as do base-LM pretraining, the style adapters and the fine-tune.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint
 from .errors import ConfigurationError
+from .lm import shifted_batch
 from .nn import masked_cross_entropy
 
 
@@ -101,35 +102,20 @@ class PrefixMapper:
 # training
 
 
-def build_prefix_batch(prefixes, caption_ids, lm):
-    """Assemble (inputs_embeds, targets, mask) for prefix-conditioned captions.
-
-    prefixes: (B, P, d); caption_ids: list of id lists, each ending in eos.
-    Position P-1+i predicts caption token i; prefix positions carry no loss.
-    """
-    b, p, d = prefixes.shape
-    t_cap = max(len(c) for c in caption_ids)
-    embeds = np.zeros((b, p + t_cap - 1, d))
-    embeds[:, :p, :] = prefixes
-    targets = np.zeros((b, p + t_cap - 1), dtype=np.intp)
-    mask = np.zeros((b, p + t_cap - 1))
-    for i, cap in enumerate(caption_ids):
-        if len(cap) > 1:
-            embeds[i, p: p + len(cap) - 1, :] = lm.embed_tokens(cap[:-1])
-        targets[i, p - 1: p - 1 + len(cap)] = cap
-        mask[i, p - 1: p - 1 + len(cap)] = 1.0
-    return embeds, targets, mask
-
-
 def prefix_batch_loss(mapper, lm, embeddings, caption_ids, backward=False):
-    """Loss of one batch; optionally backprop into the mapper parameters."""
+    """Loss of one batch; optionally backprop into the mapper parameters. The
+    batch is the text trainers' layout, `shifted_batch`, with the prefix in the bos slot."""
     prefixes, mcache = mapper.forward_batch(embeddings)
-    embeds, targets, mask = build_prefix_batch(prefixes, caption_ids, lm)
+    p = prefixes.shape[1]
+    tok = lm.tokenizer
+    ids, targets, mask = shifted_batch([tok.bos_id] * p, caption_ids, tok.pad_id)
+    embeds = lm.embed_tokens(ids)
+    embeds[:, :p] = prefixes
     logits, cache = lm.forward_embeds(embeds)
     loss, dlogits = masked_cross_entropy(logits, targets, mask)
     if backward:
         dembeds = lm.backward(dlogits, cache)
-        mapper.backward_batch(dembeds[:, : prefixes.shape[1], :], mcache)
+        mapper.backward_batch(dembeds[:, :p], mcache)
     return loss
 
 

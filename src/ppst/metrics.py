@@ -283,6 +283,9 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
     land on the x100 scale; external metrics keep their native scale. Items
     without references are skipped with a per-item diagnostic.
     """
+    if not 0 < scorer_timeout <= 86400:     # false for NaN too
+        raise ConfigurationError(f"scorer_timeout must be in (0, 86400] seconds, "
+                                 f"not {scorer_timeout}")
     report = MetricReport()
     evaluable = []
     for i, record in enumerate(records):

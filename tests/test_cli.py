@@ -581,6 +581,19 @@ def test_evaluate_uses_scorer_endpoint_from_environment(trained, tmp_path,
     assert corpus[0]["unavailable"] == []
 
 
+@pytest.mark.parametrize("timeout", [-1, 0, float("nan")])
+def test_scorer_timeout_that_is_not_positive_exits_2(tmp_path, capsys, monkeypatch, timeout):
+    _, evaluate = evaluate_one_image(tmp_path)
+    cfg = dict(workspace_config(tmp_path), eval={"scorer_timeout": timeout})
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.setenv("PPST_SCORER_ENDPOINT", "127.0.0.1:9")     # never contacted
+    capsys.readouterr()
+    assert main(evaluate) == 2
+    err = capsys.readouterr().err
+    assert "scorer_timeout" in err and "Traceback" not in err, err
+    assert not (tmp_path / "runs").exists()
+
+
 def evaluate_one_image(tmp_path, caption="a red cat on the table"):
     """(image, evaluate argv) for one record whose story is the image's caption,
     in a workspace with no upstream runs."""

@@ -10,9 +10,9 @@ from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
 from ppst.corpus import ImageCaptionPair
 from ppst.encoding import EmbeddingCache
 from ppst.errors import CompatibilityError, ConfigurationError
-from ppst.lm import CausalTransformerLM
-from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, build_prefix_batch,
-                         prefix_batch_loss, train_mapper)
+from ppst.lm import CausalTransformerLM, shifted_batch
+from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, prefix_batch_loss,
+                         train_mapper)
 from ppst.nn import masked_cross_entropy
 
 
@@ -110,7 +110,9 @@ def test_prefix_positions_carry_no_loss():
     embeddings = rng.standard_normal((1, 4))
     captions = [[4, 5, lm.tokenizer.eos_id]]
     prefixes, _ = mapper.forward_batch(embeddings)
-    embeds, targets, mask = build_prefix_batch(prefixes, captions, lm)
+    ids, targets, mask = shifted_batch([lm.tokenizer.bos_id] * 3, captions, lm.tokenizer.pad_id)
+    embeds = lm.embed_tokens(ids)
+    embeds[:, :3] = prefixes                    # the prefix in the bos slots
     assert mask[0, : 3 - 1].sum() == 0          # positions before the first target
     logits, _ = lm.forward_embeds(embeds)
     loss_a, _ = masked_cross_entropy(logits, targets, mask)

@@ -565,11 +565,19 @@ PASSAGE = {"text": " ".join(["dusk"] * 30), "word_count": 30, "genres": ["romanc
     ("gold", dict(CAPTION, image_ref=["a.pgm"])),
     ("captions", dict(CAPTION, caption=12345)),
     ("passages", dict(PASSAGE, text=5)),
+    # a JSON escape of a lone surrogate reads back as a string with no UTF-8 form
+    ("records", dict(RECORD, image_ref="a\ud800.pgm")),
+    ("records", dict(RECORD, style="\udc80")),
+    ("gold", dict(CAPTION, caption="a \ud800 cat")),
+    ("captions", dict(CAPTION, caption="a \udfff cat")),
+    ("passages", dict(PASSAGE, text=" ".join(["dusk"] * 29 + ["\ud800"]))),
 ], ids=["story-int", "story-null", "story-list", "image-ref-list", "image-ref-object",
-        "record-list", "gold-caption-int", "gold-image-ref-list", "caption-int", "text-int"])
+        "record-list", "gold-caption-int", "gold-image-ref-list", "caption-int", "text-int",
+        "image-ref-surrogate", "style-surrogate", "gold-caption-surrogate",
+        "caption-surrogate", "text-surrogate"])
 def test_field_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, target, bad):
-    """A JSONL line whose field has the wrong type exits 2 naming the line, and
-    a bad captions file leaves no build-corpus run."""
+    """A JSONL line whose field has the wrong type, or holds a lone surrogate,
+    exits 2 naming the line, and a bad captions file leaves no build-corpus run."""
     config_path, cfg, images = workspace
     if target in ("records", "gold"):
         files = {"records": [RECORD], "gold": [CAPTION]}
