@@ -9,40 +9,36 @@ identity and the composed model reproduces the plain LM. Training one set per
 genre on style-filtered passages gives a swappable, plug-and-play stylistic
 LM; the base weights are never touched. `train_full_finetune` covers the
 non-styled comparison system (all LM parameters trained, no adapters). The adapters,
-the fine-tune, the mapper and base-LM pretraining all train through `nn.train_loop`.
+the fine-tune, the mapper and base-LM pretraining all train through `nn.train_loop`
+and score their batches with `lm.batch_loss`. A set sizes a 0 bottleneck itself, to
+the LM's d_model // 8 (at least 1).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint, tensors_fingerprint
 from .errors import CompatibilityError, ConfigurationError
-from .lm import CausalTransformerLM, sequence_nll, teacher_forced_batch
-from .nn import masked_cross_entropy
+from .lm import CausalTransformerLM, batch_loss, sequence_nll, teacher_forced_batch
 
 
 @dataclass
 class AdapterConfig:
-    bottleneck_dim: int
+    bottleneck_dim: int = 0      # 0 -> the LM's d_model // 8 (at least 1)
     activation: str = "relu"
     init: str = "zero_up_projection"
 
     def __post_init__(self):
-        if self.bottleneck_dim < 1:
-            raise ConfigurationError("bottleneck_dim must be >= 1")
+        if self.bottleneck_dim < 0:
+            raise ConfigurationError("bottleneck_dim must be >= 0")
         if self.init != "zero_up_projection":
             raise ConfigurationError(f"unknown adapter init {self.init!r}")
         nn.get_activation(self.activation)
-
-
-def default_adapter_config(lm_hidden_dim):
-    """Bottleneck of lm_hidden_dim / 8 (at least 1), rectifier activation."""
-    return AdapterConfig(bottleneck_dim=max(1, lm_hidden_dim // 8))
 
 
 class AdapterBlock:
@@ -79,20 +75,17 @@ class AdapterBlock:
 class StyleAdapterSet:
     """One adapter block per LM layer, trained for a single style."""
 
-    def __init__(self, style_id, base_lm, lm_fingerprint, config: AdapterConfig, seed=0):
-        """Fresh blocks sized for `base_lm`, trained against the LM of `lm_fingerprint`."""
+    def __init__(self, style_id, base_lm, config=None, seed=0, lm_fingerprint=None):
+        """Fresh blocks sized for `base_lm`, trained against it or, as loaded, against
+        the LM of `lm_fingerprint`. A 0 bottleneck resolves to max(1, d_model // 8)."""
+        d = base_lm.config.d_model
+        config = config or AdapterConfig()
+        self.config = replace(config, bottleneck_dim=config.bottleneck_dim or max(1, d // 8))
         self.style_id = style_id
         rng = np.random.default_rng(seed)
-        self.blocks = [AdapterBlock(base_lm.config.d_model, config, rng)
-                       for _ in base_lm.blocks]
-        self.lm_fingerprint = lm_fingerprint
-        self.config = config
+        self.blocks = [AdapterBlock(d, self.config, rng) for _ in base_lm.blocks]
+        self.lm_fingerprint = base_lm.fingerprint() if lm_fingerprint is None else lm_fingerprint
         self.seed = seed
-
-    @classmethod
-    def create(cls, style_id, base_lm, config=None, seed=0):
-        config = config or default_adapter_config(base_lm.config.d_model)
-        return cls(style_id, base_lm, base_lm.fingerprint(), config, seed)
 
     def params(self):
         out = {}
@@ -108,9 +101,10 @@ class StyleAdapterSet:
 
     @classmethod
     def load(cls, directory, base_lm):
+        # str: a null fingerprint matches no LM, rather than meaning `base_lm`
         return load_checkpoint(directory, "style_adapter_set", lambda manifest: cls(
-            manifest["style_id"], base_lm, manifest["lm_fingerprint"],
-            AdapterConfig(**manifest["config"]), seed=manifest.get("seed", 0)))
+            manifest["style_id"], base_lm, AdapterConfig(**manifest["config"]),
+            manifest.get("seed", 0), str(manifest["lm_fingerprint"])))
 
 
 @dataclass
@@ -158,10 +152,6 @@ class StyledLanguageModel:
     @property
     def embed_dim(self):
         return self.base_lm.config.d_model
-
-    @property
-    def vocab_size(self):
-        return self.base_lm.config.vocab_size
 
     @property
     def context_limit(self):
@@ -258,10 +248,13 @@ class AdapterTrainConfig:
             raise ConfigurationError("learning rate must be positive")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError("val_fraction must be in [0, 1)")
+        if self.patience < 1:
+            raise ConfigurationError("patience must be >= 1")
 
 
-def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
-    """`nn.train_loop` on a seeded split that holds `val_fraction` of the sequences out."""
+def _train_text_model(texts, lm, trainable_params, adapters, cfg, label):
+    """`nn.train_loop` on a seeded split that holds `val_fraction` of the texts out."""
+    token_lists = [lm.tokenizer.encode(t) for t in texts]
     rng = np.random.default_rng(cfg.seed)
     n_val = int(len(token_lists) * cfg.val_fraction)
     order = rng.permutation(len(token_lists))
@@ -272,15 +265,10 @@ def _train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
     max_len = min(cfg.max_seq_len, lm.config.max_seq_len)
     validate = (lambda: sequence_nll(lm, val, adapters, cfg.batch_size)) if val else None
 
-    def batch_loss(chunk):
-        inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer, max_len)
-        logits, cache = lm.forward_tokens(inputs, adapters)
-        loss, dlogits = masked_cross_entropy(logits, targets, mask)
-        del logits
-        lm.backward_tokens(dlogits, cache)
-        return loss    # the cache dies with this frame: one batch is alive at a time
+    def loss(chunk):
+        return batch_loss(lm, teacher_forced_batch(chunk, lm.tokenizer, max_len), adapters)[0]
 
-    return nn.train_loop(trainable_params, cfg, lambda: train, batch_loss, label, validate)
+    return nn.train_loop(trainable_params, cfg, lambda: train, loss, label, validate)
 
 
 def train_adapter(passages, base_lm, cfg: AdapterTrainConfig, style=None,
@@ -299,11 +287,11 @@ def train_adapter(passages, base_lm, cfg: AdapterTrainConfig, style=None,
                 f"passage from {p.source_title!r} does not carry style {style!r} "
                 "in its first three genres")
 
-    adapter_set = StyleAdapterSet.create(style, base_lm, adapter_config, seed=cfg.seed)
-    token_lists = [base_lm.tokenizer.encode(p.text) for p in passages]
+    adapter_set = StyleAdapterSet(style, base_lm, adapter_config, seed=cfg.seed)
     with nn.freeze_params(base_lm.params()):
-        return adapter_set, _train_text_model(token_lists, base_lm, adapter_set.params(),
-                                              adapter_set.blocks, cfg, f"adapter[{style}]")
+        return adapter_set, _train_text_model([p.text for p in passages], base_lm,
+                                              adapter_set.params(), adapter_set.blocks, cfg,
+                                              f"adapter[{style}]")
 
 
 def train_full_finetune(passages, base_lm, cfg: AdapterTrainConfig):
@@ -326,5 +314,4 @@ def train_on_texts(texts, lm, cfg: AdapterTrainConfig, label="text-corpus"):
     text) before mapper or adapter training; `train_full_finetune` runs it
     on a deep copy.
     """
-    token_lists = [lm.tokenizer.encode(t) for t in texts]
-    return _train_text_model(token_lists, lm, lm.params(), None, cfg, label)
+    return _train_text_model(texts, lm, lm.params(), None, cfg, label)

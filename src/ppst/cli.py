@@ -48,8 +48,8 @@ from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from .adapters import (AdapterConfig, AdapterTrainConfig, StyleAdapterSet,
-                       StyledLanguageModel, attach, default_adapter_config,
-                       train_adapter, train_full_finetune, train_on_texts)
+                       StyledLanguageModel, attach, train_adapter, train_full_finetune,
+                       train_on_texts)
 from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
                         read_jsonl, read_manifest, read_text, require_utf8,
                         tensors_fingerprint, write_jsonl)
@@ -59,7 +59,7 @@ from .generation import DecodeConfig, generate
 from .lm import CausalTransformerLM, LmConfig
 from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from .metrics import evaluate_run
-from .tokenizer import WordTokenizer
+from .tokenizer import SPECIALS, WordTokenizer
 
 SCORER_ENDPOINT_ENV = "PPST_SCORER_ENDPOINT"
 
@@ -95,7 +95,7 @@ DEFAULT_CONFIG = {
     "mapper": _defaults("mapper"),
     "adapters": {
         "styles": ["romance", "action"],
-        "bottleneck_dim": 0,        # 0 -> lm d_model // 8, with `activation` either way
+        "bottleneck_dim": AdapterConfig.bottleneck_dim,     # 0 -> lm d_model // 8
         "activation": AdapterConfig.activation,
         **_defaults("adapters"),
     },
@@ -153,6 +153,10 @@ def load_config(path, seed=None):
         if style in ("", ".", "..") or {"/", os.sep, os.altsep} & set(style):
             raise InputError("config key adapters.styles must hold plain names, not "
                              f"{json.dumps(style)}")
+    # a built LM's vocabulary holds a word besides the specials; pretraining may be off
+    for key, least in (("max_vocab", len(SPECIALS) + 1), ("pretrain_epochs", 0)):
+        if cfg["lm"][key] < least:
+            raise InputError(f"config key lm.{key} must be >= {least}, not {cfg['lm'][key]}")
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -346,6 +350,7 @@ def _check_style(cfg, style, *more):
 def cmd_train_adapter(cfg, style, force=False):
     _check_style(cfg, style)
     section = cfg["adapters"]
+    train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"])
     passages, _ = _read_corpus(cfg)
     if style != "non-styled":
         passages = corpus_mod.filter_by_style(passages, style)
@@ -360,16 +365,13 @@ def cmd_train_adapter(cfg, style, force=False):
     if stage.skip(input_fp, force):
         return
 
-    train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"])
     with stage.run(input_fp) as (out, manifest):
         if style == "non-styled":
             tuned, loss_log = train_full_finetune(passages, lm, train_cfg)
             tuned.save(out / "checkpoints" / "lm_finetuned")
             manifest.update(base_lm_fingerprint=lm_fp)
         else:
-            adapter_config = _build(AdapterConfig, section, bottleneck_dim=(
-                section["bottleneck_dim"]
-                or default_adapter_config(lm.config.d_model).bottleneck_dim))
+            adapter_config = _build(AdapterConfig, section)
             with _frozen(lm):
                 adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
                                                       adapter_config=adapter_config)

@@ -64,6 +64,8 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_length is None:
+            self.max_length = self.min_length + 256
         if self.beam_size < 1:
             raise ConfigurationError("beam_size must be >= 1")
         if self.top_k < 1:
@@ -76,17 +78,8 @@ class DecodeConfig:
             raise ConfigurationError("repetition_penalty must be > 0")
         if self.length_decay_factor < 1:
             raise ConfigurationError("length_decay_factor must be >= 1")
-        if self.min_length < 0 or (self.max_length is not None and self.max_length < 1):
+        if self.min_length < 0 or self.max_length < 1:
             raise ConfigurationError("lengths must be non-negative")
-
-    @property
-    def resolved_max_length(self):
-        return self.max_length if self.max_length is not None else self.min_length + 256
-
-    def to_dict(self):
-        out = asdict(self)
-        out["max_length"] = self.resolved_max_length
-        return out
 
 
 @dataclass
@@ -239,7 +232,7 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
     started = time.perf_counter()
     raw, past = model.prefill(prefix)          # the anchor runs once
     run_warnings = []
-    max_length = cfg.resolved_max_length
+    max_length = cfg.max_length
     if max_length < cfg.min_length:
         run_warnings.append(
             f"max_length {max_length} < min_length {cfg.min_length}: "
@@ -288,7 +281,7 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
         token_count=len(token_ids) - bool(finished),
         cumulative_log_prob=score,
         finished=bool(finished),
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         model_manifest=model.manifest(),
         wall_time_s=time.perf_counter() - started,
         warnings=run_warnings,

@@ -4,7 +4,8 @@ Decoder-only, pre-norm, learned absolute positions, untied output head.
 Backward passes are hand-written (see nn.py) so that training the prefix
 mapper or adapters against a *frozen* copy of this model is exact and
 finite-difference checkable. Adapter blocks, when supplied, run on top of
-each transformer block's output.
+each transformer block's output. Every trainer's batch (base-LM pretraining,
+the mapper, the style adapters, the fine-tune) goes through `batch_loss`.
 """
 
 from __future__ import annotations
@@ -126,19 +127,6 @@ class CausalTransformerLM:
             self.pos_emb.grad[: dh.shape[1]] += dh.sum(axis=0)
         return dh
 
-    def forward_tokens(self, ids, adapters=None):
-        """ids: (B, T) token ids."""
-        ids = np.asarray(ids, dtype=np.intp)
-        logits, cache = self.forward_embeds(self.embed_tokens(ids), adapters)
-        return logits, (cache, ids)
-
-    def backward_tokens(self, dlogits, cache):
-        inner, ids = cache
-        dembeds = self.backward(dlogits, inner)
-        if self.tok_emb.grad is not None:
-            np.add.at(self.tok_emb.grad, ids, dembeds)
-        return dembeds
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory):
@@ -189,6 +177,27 @@ def teacher_forced_batch(token_lists, tokenizer, max_seq_len):
     return shifted_batch([tokenizer.bos_id], sequences, tokenizer.pad_id)
 
 
+def batch_loss(lm, batch, adapters=None, prefix=None, backward=True):
+    """Next-token loss of a `shifted_batch` through `lm` and `adapters`: (loss, the
+    gradient of the `prefix` rows). A (B, P, d) `prefix` replaces the embeddings of
+    the first P inputs. Backward accumulates into every param with a gradient buffer,
+    `tok_emb` at the other inputs' ids."""
+    ids, targets, mask = batch
+    p = 0 if prefix is None else prefix.shape[1]
+    embeds = lm.embed_tokens(ids)
+    if p:
+        embeds[:, :p] = prefix
+    logits, cache = lm.forward_embeds(embeds, adapters)
+    loss, dlogits = nn.masked_cross_entropy(logits, targets, mask)
+    if not backward:
+        return loss, None
+    del logits    # with the cache, which dies with this frame: one batch is alive at a time
+    dembeds = lm.backward(dlogits, cache)
+    if lm.tok_emb.grad is not None:
+        np.add.at(lm.tok_emb.grad, ids[:, p:], dembeds[:, p:])
+    return loss, dembeds[:, :p]
+
+
 def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
     """Mean next-token negative log-likelihood per token over sequences."""
     total_nll = 0.0
@@ -197,7 +206,7 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         chunk = token_lists[start: start + batch_size]
         inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer,
                                                      lm.config.max_seq_len)
-        logp = nn.log_softmax(lm.forward_tokens(inputs, adapters)[0])
+        logp = nn.log_softmax(lm.forward_embeds(lm.embed_tokens(inputs), adapters)[0])
         nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())

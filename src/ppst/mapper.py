@@ -4,8 +4,9 @@ A two-layer feed-forward net projects the frozen encoder's d_e-dimensional
 embedding to prefix_length rows in the LM's input-embedding space. Training
 maximizes caption likelihood through the frozen LM, updating only the mapper.
 Its batches are the text trainers' layout (`lm.shifted_batch`) with the prefix
-in the bos slot, so only caption positions carry loss. It trains through
-`nn.train_loop`, as do base-LM pretraining, the style adapters and the fine-tune.
+in the bos slot, so only caption positions carry loss, scored by their
+`lm.batch_loss`. It trains through `nn.train_loop`, as do base-LM pretraining,
+the style adapters and the fine-tune.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from . import nn
 from .artifacts import load_checkpoint, save_checkpoint
 from .errors import ConfigurationError
-from .lm import shifted_batch
-from .nn import masked_cross_entropy
+from .lm import batch_loss, shifted_batch
 
 
 @dataclass
@@ -106,16 +106,11 @@ def prefix_batch_loss(mapper, lm, embeddings, caption_ids, backward=False):
     """Loss of one batch; optionally backprop into the mapper parameters. The
     batch is the text trainers' layout, `shifted_batch`, with the prefix in the bos slot."""
     prefixes, mcache = mapper.forward_batch(embeddings)
-    p = prefixes.shape[1]
     tok = lm.tokenizer
-    ids, targets, mask = shifted_batch([tok.bos_id] * p, caption_ids, tok.pad_id)
-    embeds = lm.embed_tokens(ids)
-    embeds[:, :p] = prefixes
-    logits, cache = lm.forward_embeds(embeds)
-    loss, dlogits = masked_cross_entropy(logits, targets, mask)
+    batch = shifted_batch([tok.bos_id] * prefixes.shape[1], caption_ids, tok.pad_id)
+    loss, dprefixes = batch_loss(lm, batch, prefix=prefixes, backward=backward)
     if backward:
-        dembeds = lm.backward(dlogits, cache)
-        mapper.backward_batch(dembeds[:, :p], mcache)
+        mapper.backward_batch(dprefixes, mcache)
     return loss
 
 
@@ -157,10 +152,10 @@ def train_mapper(pairs, encoder, base_lm, cfg: MapperTrainConfig,
 
     rng = np.random.default_rng(cfg.seed)
 
-    def batch_loss(idx):
+    def loss(idx):
         return prefix_batch_loss(mapper, base_lm, embeddings[idx],
                                  [captions[i] for i in idx], backward=True)
 
     with nn.freeze_params(base_lm.params()):
         return mapper, nn.train_loop(mapper.params(), cfg,
-                                     lambda: rng.permutation(len(pairs)), batch_loss, "mapper")
+                                     lambda: rng.permutation(len(pairs)), loss, "mapper")

@@ -286,6 +286,8 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
     if not 0 < scorer_timeout <= 86400:     # false for NaN too
         raise ConfigurationError(f"scorer_timeout must be in (0, 86400] seconds, "
                                  f"not {scorer_timeout}")
+    if not 0 < clip_weight < math.inf:
+        raise ConfigurationError(f"clip_weight must be positive and finite, not {clip_weight}")
     report = MetricReport()
     evaluable = []
     for i, record in enumerate(records):

@@ -24,6 +24,7 @@ loss. All math runs in float64; checkpoints store float32.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -430,23 +431,17 @@ def param_count(params):
     return sum(p.size for p in params.values())
 
 
-class freeze_params:
-    """Context manager freezing params: each value is read-only (any in-place
+@contextlib.contextmanager
+def freeze_params(params):
+    """Freeze params in the enclosed block: each value is read-only (any in-place
     update raises) and has no gradient; both are restored on exit."""
-
-    def __init__(self, params):
-        self.params = list(params.values())
-        self.saved = []
-
-    def __enter__(self):
-        self.saved = [(p.value.flags.writeable, p.grad) for p in self.params]
-        for p in self.params:
-            p.value.flags.writeable = False
-            p.grad = None
-        return self
-
-    def __exit__(self, *exc):
-        for p, (writeable, grad) in zip(self.params, self.saved):
+    saved = [(p, p.value.flags.writeable, p.grad) for p in params.values()]
+    for p, _, _ in saved:
+        p.value.flags.writeable = False
+        p.grad = None
+    try:
+        yield
+    finally:
+        for p, writeable, grad in saved:
             p.value.flags.writeable = writeable
             p.grad = grad
-        return False

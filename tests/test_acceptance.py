@@ -208,7 +208,7 @@ def test_criterion_2_decode_oracle():
 def test_criterion_3_zero_adapter_identity():
     with criterion(3, "zero-initialized adapters match the plain LM within 1e-5"):
         lm = make_tiny_lm(n_words=16, d_model=16, d_ff=32, max_seq_len=32, seed=11)
-        styled = attach(lm, StyleAdapterSet.create("romance", lm, seed=5))
+        styled = attach(lm, StyleAdapterSet("romance", lm, seed=5))
         plain = StyledLanguageModel(lm, None, "plain")
         rng = np.random.default_rng(6)
         for _ in range(100):

@@ -8,8 +8,7 @@ import pytest
 from conftest import grads_unfrozen_and_frozen, make_tiny_lm
 from test_mapper import StubEncoder
 from ppst.adapters import (AdapterBlock, AdapterConfig, AdapterTrainConfig,
-                           StyleAdapterSet, StyledLanguageModel, attach,
-                           default_adapter_config, train_adapter,
+                           StyleAdapterSet, StyledLanguageModel, attach, train_adapter,
                            train_full_finetune)
 from ppst.corpus import ImageCaptionPair, StyledPassage
 from ppst.errors import CompatibilityError, ConfigurationError, TrainingDiverged
@@ -64,8 +63,13 @@ def test_bottleneck_must_be_smaller_than_hidden():
 
 
 def test_default_bottleneck_is_an_eighth():
-    assert default_adapter_config(64).bottleneck_dim == 8
-    assert default_adapter_config(4).bottleneck_dim == 1
+    assert StyleAdapterSet("x", make_tiny_lm(d_model=64)).config.bottleneck_dim == 8
+    assert StyleAdapterSet("x", make_tiny_lm(d_model=4)).config.bottleneck_dim == 1
+    config = AdapterConfig(activation="gelu")
+    adapter_set = StyleAdapterSet("x", make_tiny_lm(d_model=64), config)
+    assert config.bottleneck_dim == 0 and adapter_set.config.bottleneck_dim == 8
+    assert adapter_set.config.activation == "gelu"
+    assert adapter_set.blocks[0].down.w.value.shape == (64, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ def random_prompts(lm, n, rng):
 
 
 def test_attach_detach_restores_plain_logits(tiny_lm):
-    adapter_set = StyleAdapterSet.create("romance", tiny_lm, seed=1)
+    adapter_set = StyleAdapterSet("romance", tiny_lm, seed=1)
     for p in adapter_set.params().values():    # make the adapters non-trivial
         p.value[...] = np.random.default_rng(4).standard_normal(p.value.shape) * 0.1
     prompts = random_prompts(tiny_lm, 20, np.random.default_rng(5))
@@ -92,7 +96,7 @@ def test_attach_detach_restores_plain_logits(tiny_lm):
 
 
 def test_zero_init_set_equals_plain_lm(tiny_lm):
-    styled = attach(tiny_lm, StyleAdapterSet.create("romance", tiny_lm, seed=2))
+    styled = attach(tiny_lm, StyleAdapterSet("romance", tiny_lm, seed=2))
     plain = StyledLanguageModel(tiny_lm, None, "plain")
     rng = np.random.default_rng(6)
     for ids in random_prompts(tiny_lm, 20, rng):
@@ -103,15 +107,15 @@ def test_zero_init_set_equals_plain_lm(tiny_lm):
 
 def test_fingerprint_mismatch_rejected(tiny_lm):
     other = make_tiny_lm(seed=99)
-    adapter_set = StyleAdapterSet.create("romance", other, seed=0)
+    adapter_set = StyleAdapterSet("romance", other, seed=0)
     with pytest.raises(CompatibilityError):
         attach(tiny_lm, adapter_set)
 
 
 def test_two_styles_concurrent_views_match_isolation(tiny_lm):
     rng = np.random.default_rng(7)
-    set_a = StyleAdapterSet.create("romance", tiny_lm, seed=1)
-    set_b = StyleAdapterSet.create("horror", tiny_lm, seed=2)
+    set_a = StyleAdapterSet("romance", tiny_lm, seed=1)
+    set_b = StyleAdapterSet("horror", tiny_lm, seed=2)
     for s in (set_a, set_b):
         for p in s.params().values():
             p.value[...] = rng.standard_normal(p.value.shape) * 0.05
@@ -128,7 +132,7 @@ def test_mode_validation(tiny_lm):
     with pytest.raises(ConfigurationError):
         StyledLanguageModel(tiny_lm, None, "adapter")
     with pytest.raises(ConfigurationError):
-        StyledLanguageModel(tiny_lm, StyleAdapterSet.create("teen", tiny_lm), "plain")
+        StyledLanguageModel(tiny_lm, StyleAdapterSet("teen", tiny_lm), "plain")
     with pytest.raises(ConfigurationError):
         StyledLanguageModel(tiny_lm, None, "styled")
 
@@ -173,7 +177,7 @@ def test_train_adapter_freezes_lm_and_specializes():
 
 
 def test_freezing_the_lm_leaves_adapter_gradients_bit_equal(tiny_lm):
-    adapter_set = StyleAdapterSet.create("romance", tiny_lm, AdapterConfig(bottleneck_dim=3))
+    adapter_set = StyleAdapterSet("romance", tiny_lm, AdapterConfig(bottleneck_dim=3))
     rng = np.random.default_rng(4)
     for block in adapter_set.blocks:     # away from the zero-init identity
         block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape)
@@ -182,8 +186,8 @@ def test_freezing_the_lm_leaves_adapter_gradients_bit_equal(tiny_lm):
     dlogits = rng.standard_normal((2, 6, tiny_lm.config.vocab_size))
 
     def backward():
-        _, cache = tiny_lm.forward_tokens(ids, adapter_set.blocks)
-        tiny_lm.backward_tokens(dlogits, cache)
+        _, cache = tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids), adapter_set.blocks)
+        tiny_lm.backward(dlogits, cache)
 
     unfrozen, frozen = grads_unfrozen_and_frozen(tiny_lm, adapter_set.params(), backward)
     for name, grad in unfrozen.items():
@@ -201,7 +205,7 @@ def test_train_adapter_validates_style_membership(tiny_lm):
 
 def test_adapter_parameter_count_is_small():
     lm = make_tiny_lm(n_words=40, d_model=32, d_ff=64, n_layer=2)
-    adapter_set = StyleAdapterSet.create("romance", lm)
+    adapter_set = StyleAdapterSet("romance", lm)
     from ppst.nn import param_count
     assert param_count(adapter_set.params()) < 0.05 * param_count(lm.params())
 
@@ -242,7 +246,7 @@ def test_full_finetune_tunes_a_copy_sharing_no_array(tiny_lm):
 def test_loads_and_decode_views_hold_no_gradient_buffer(tmp_path, tiny_lm):
     tiny_lm.save(tmp_path / "lm")
     lm = CausalTransformerLM.load(tmp_path / "lm")
-    StyleAdapterSet.create("romance", lm, seed=0).save(tmp_path / "ad")
+    StyleAdapterSet("romance", lm, seed=0).save(tmp_path / "ad")
     adapter_set = StyleAdapterSet.load(tmp_path / "ad", lm)
     PrefixMapper(MapperConfig(input_dim=4, lm_embed_dim=8, prefix_length=2),
                  seed=0).save(tmp_path / "mapper")
@@ -268,7 +272,7 @@ def test_trainers_give_gradient_buffers_to_trained_params_only(tiny_lm):
 
 
 def test_adapter_checkpoint_round_trip(tmp_path, tiny_lm):
-    adapter_set = StyleAdapterSet.create("teen", tiny_lm, seed=3)
+    adapter_set = StyleAdapterSet("teen", tiny_lm, seed=3)
     rng = np.random.default_rng(8)
     for p in adapter_set.params().values():
         p.value[...] = rng.standard_normal(p.value.shape) * 0.1
@@ -279,6 +283,12 @@ def test_adapter_checkpoint_round_trip(tmp_path, tiny_lm):
     ids = [4, 5]
     want = attach(tiny_lm, adapter_set).next_token_logits(None, ids)
     assert np.allclose(styled.next_token_logits(None, ids), want, atol=1e-6)
+
+
+@pytest.mark.parametrize("patience", [0, -1])
+def test_patience_below_one_is_rejected(patience):
+    with pytest.raises(ConfigurationError, match="patience must be >= 1"):
+        AdapterTrainConfig(patience=patience)
 
 
 def test_early_stopping_respects_patience():
@@ -297,19 +307,19 @@ def test_early_stopping_respects_patience():
 def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     """When a batch's forward starts, the previous batch's logits and forward
     cache are gone, in training and in the validation pass."""
-    forward = CausalTransformerLM.forward_tokens
+    forward = CausalTransformerLM.forward_embeds
     earlier = []
     forwards = []
 
-    def tracked(self, ids, adapters=None):
+    def tracked(self, embeds, adapters=None):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
-        logits, cache = forward(self, ids, adapters)
-        (_, (ln_f_xhat, _), _), _ = cache
+        logits, cache = forward(self, embeds, adapters)
+        _, (ln_f_xhat, _), _ = cache
         earlier[:] = [weakref.ref(logits), weakref.ref(ln_f_xhat)]
-        forwards.append(len(ids))
+        forwards.append(len(embeds))
         return logits, cache
 
-    monkeypatch.setattr(CausalTransformerLM, "forward_tokens", tracked)
+    monkeypatch.setattr(CausalTransformerLM, "forward_embeds", tracked)
     passages = [StyledPassage(text=" ".join(f"w{(i + j) % 8}" for j in range(30)),
                               word_count=30, genres=["romance"], source_title="x")
                 for i in range(10)]

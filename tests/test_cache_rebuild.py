@@ -18,7 +18,7 @@ def scrambled_lm_and_adapters(activation):
     """A 2-layer LM and one adapter set, every param drawn at random, so no
     LayerNorm is the identity and no adapter starts at zero."""
     lm = make_tiny_lm(n_words=12, n_layer=2, n_head=2, d_model=16, d_ff=64, seed=3)
-    adapters = StyleAdapterSet.create(
+    adapters = StyleAdapterSet(
         "romance", lm, AdapterConfig(bottleneck_dim=4, activation=activation), seed=4)
     rng = np.random.default_rng(5)
     for p in (*lm.params().values(), *adapters.params().values()):

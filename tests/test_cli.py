@@ -118,6 +118,9 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
     ({"eval": {"clip_weight": False}}, "config key eval.clip_weight must be int or float"),
     ({"seed": "7"}, "config key seed must be int"),
     ({"decode": {"beam_size": 0}}, "beam_size must be >= 1"),
+    ({"lm": {"pretrain_epochs": -1}}, "config key lm.pretrain_epochs must be >= 0"),
+    ({"lm": {"max_vocab": 0}}, "config key lm.max_vocab must be >= 5"),
+    ({"lm": {"max_vocab": -3}}, "config key lm.max_vocab must be >= 5"),
     ({"adapters": {"styles": ["/../../x"]}}, "config key adapters.styles must hold plain"),
     ({"adapters": {"styles": ["romance", ".."]}}, "config key adapters.styles must hold plain"),
     ({"adapters": {"styles": [""]}}, "config key adapters.styles must hold plain"),
@@ -125,7 +128,8 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
         "str-for-int", "bool-for-int", "float-for-optional-int", "float-for-int",
         "int-for-str", "str-for-list", "list-of-non-str", "int-for-optional-str",
         "int-for-path", "str-for-float", "bool-for-float", "str-for-seed",
-        "decode-out-of-range", "style-path", "style-dotdot", "style-empty"])
+        "decode-out-of-range", "pretrain-epochs-negative", "max-vocab-zero",
+        "max-vocab-negative", "style-path", "style-dotdot", "style-empty"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, user, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(user))
@@ -367,6 +371,17 @@ def test_adapter_activation_applies_with_default_bottleneck(tmp_path):
     assert manifest["config"]["bottleneck_dim"] == cfg["lm"]["d_model"] // 8
 
 
+def test_adapter_patience_below_one_exits_2(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    cfg["adapters"].update(patience=0, max_epochs=5, val_fraction=0.5)
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "train-adapter", "--style", "romance"]) == 2
+    err = capsys.readouterr().err
+    assert "patience must be >= 1" in err and "Traceback" not in err, err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_adapter_zero_epochs_saves_identity_adapter(tmp_path, capsys):
     config_path, cfg = build_workspace(tmp_path)
     cfg["adapters"]["max_epochs"] = 0
@@ -592,6 +607,31 @@ def test_scorer_timeout_that_is_not_positive_exits_2(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "scorer_timeout" in err and "Traceback" not in err, err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("weight", [-1, 0, float("nan"), float("inf")])
+def test_clip_weight_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, weight):
+    _, evaluate = evaluate_one_image(tmp_path)
+    cfg = dict(workspace_config(tmp_path), eval={"clip_weight": weight})
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(evaluate) == 2
+    err = capsys.readouterr().err
+    assert "clip_weight" in err and "Traceback" not in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_generate_error_line_is_skipped_by_evaluate(tmp_path, capsys):
+    image, evaluate = evaluate_one_image(tmp_path)
+    story = (tmp_path / "records.jsonl").read_text()
+    error = {"image_ref": str(image), "error": "prefix contains non-finite entries"}
+    (tmp_path / "records.jsonl").write_text(json.dumps(error) + "\n" + story)
+    assert main(evaluate) == 0
+    (run_dir,) = run_dirs(workspace_config(tmp_path), "evaluate-")
+    *items, corpus = [json.loads(line) for line in
+                      (run_dir / "reports" / "report.jsonl").read_text().splitlines()]
+    assert [(i["item_id"], i["image_ref"]) for i in items] == [("item00000", str(image))]
+    assert corpus["diagnostics"] == []
 
 
 def evaluate_one_image(tmp_path, caption="a red cat on the table"):

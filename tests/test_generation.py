@@ -34,7 +34,7 @@ def test_defaults_follow_decoding_recipe():
 
 
 def test_max_length_defaults_to_min_plus_256():
-    assert DecodeConfig().resolved_max_length == 750 + 256
+    assert DecodeConfig().max_length == 750 + 256
 
 
 @pytest.mark.parametrize("kw", [dict(beam_size=0), dict(top_k=0),

@@ -33,7 +33,7 @@ def make_model(with_adapters, seed=0):
                       max_seq_len=32, seed=seed + 1)
     if not with_adapters:
         return StyledLanguageModel(lm, None, "plain")
-    adapter_set = StyleAdapterSet.create("romance", lm, seed=seed)
+    adapter_set = StyleAdapterSet("romance", lm, seed=seed)
     rng = np.random.default_rng(seed)
     for block in adapter_set.blocks:     # away from the zero-init identity
         block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape) * 0.5
@@ -63,16 +63,17 @@ def test_incremental_logits_match_full_reforward(with_adapters, with_prefix):
     model = make_model(with_adapters)
     prefix = make_prefix(model, with_prefix)
     rng = np.random.default_rng(3)
+    vocab = model.base_lm.config.vocab_size
 
     logits, past = model.prefill(prefix)
-    assert logits.shape == (1, model.vocab_size)
+    assert logits.shape == (1, vocab)
     assert np.abs(logits[0] - model.next_token_logits(prefix, [])).max() <= TOL
     beams = [()]
     for parents in PARENTS:
-        tokens = [int(t) for t in rng.integers(0, model.vocab_size, size=len(parents))]
+        tokens = [int(t) for t in rng.integers(0, vocab, size=len(parents))]
         beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
         logits, past = model.step(tokens, past, parents)
-        assert logits.shape == (len(beams), model.vocab_size)
+        assert logits.shape == (len(beams), vocab)
         for row, ids in zip(logits, beams):
             want = model.next_token_logits(prefix, list(ids))
             assert np.abs(row - want).max() <= TOL
@@ -85,14 +86,15 @@ def test_incremental_logits_match_full_reforward_as_beams_shrink_and_grow(
     model = make_model(with_adapters, seed=2)
     prefix = make_prefix(model, with_prefix)
     rng = np.random.default_rng(4)
+    vocab = model.base_lm.config.vocab_size
 
     logits, past = model.prefill(prefix)
     beams = [()]
     for parents in SHRINK_GROW_PARENTS:
-        tokens = [int(t) for t in rng.integers(0, model.vocab_size, size=len(parents))]
+        tokens = [int(t) for t in rng.integers(0, vocab, size=len(parents))]
         beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
         logits, past = model.step(tokens, past, parents)
-        assert logits.shape == (len(beams), model.vocab_size)
+        assert logits.shape == (len(beams), vocab)
         for row, ids in zip(logits, beams):
             want = model.next_token_logits(prefix, list(ids))
             assert np.abs(row - want).max() <= TOL
@@ -111,7 +113,7 @@ def test_decode_forwards_compute_no_gelu_slope(monkeypatch):
     _, past = model.prefill(make_prefix(model, True))
     model.step([1, 2], past, [0, 0])
     assert slopes == [False] * 4          # two layers, in prefill and in one step
-    model.base_lm.forward_tokens([[1, 2]])
+    model.base_lm.forward_embeds(model.base_lm.embed_tokens([[1, 2]]))
     assert slopes[4:] == [True, True]     # a forward that backward may follow
 
 
@@ -122,16 +124,17 @@ def test_step_allocates_far_less_than_the_past():
                       max_seq_len=128)
     model = StyledLanguageModel(lm, None, "plain")
     rng = np.random.default_rng(5)
+    vocab = lm.config.vocab_size
     _, past = model.prefill(rng.standard_normal((10, 128)))
     parents = [0] * 5
     for _ in range(95):
-        _, past = model.step(rng.integers(0, model.vocab_size, size=len(parents)), past,
+        _, past = model.step(rng.integers(0, vocab, size=len(parents)), past,
                              parents)
         parents = rng.integers(0, 5, size=5)
     kv, start = past
     assert start >= 100
     past_bytes = sum(buf[:5, :, :start].nbytes for layer in kv for buf in layer)
-    tokens = rng.integers(0, model.vocab_size, size=5)
+    tokens = rng.integers(0, vocab, size=5)
     tracemalloc.start()
     try:
         model.step(tokens, past, [4, 4, 0, 1, 2])       # every row moves, one parent twice

@@ -4,28 +4,27 @@ import pytest
 from conftest import central_difference, grad_close
 from ppst.errors import ConfigurationError
 from ppst.adapters import StyledLanguageModel
-from ppst.lm import pad_batch, teacher_forced_batch
-from ppst.nn import masked_cross_entropy
+from ppst.lm import batch_loss, pad_batch, shifted_batch, teacher_forced_batch
 
 
 def test_forward_shapes(tiny_lm):
     ids = np.array([[4, 5, 6, 7]])
-    logits, _ = tiny_lm.forward_tokens(ids)
+    logits, _ = tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids))
     assert logits.shape == (1, 4, tiny_lm.config.vocab_size)
 
 
 def test_context_length_guard(tiny_lm):
     ids = np.zeros((1, tiny_lm.config.max_seq_len + 1), dtype=int)
     with pytest.raises(ConfigurationError):
-        tiny_lm.forward_tokens(ids)
+        tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids))
 
 
 def test_lm_is_causal(tiny_lm):
     ids = np.array([[4, 5, 6, 7, 8]])
-    logits1, _ = tiny_lm.forward_tokens(ids)
+    logits1, _ = tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids))
     ids2 = ids.copy()
     ids2[0, 3] = 9
-    logits2, _ = tiny_lm.forward_tokens(ids2)
+    logits2, _ = tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids2))
     assert np.allclose(logits1[0, :3], logits2[0, :3])
     assert not np.allclose(logits1[0, 3:], logits2[0, 3:])
 
@@ -61,11 +60,7 @@ def test_full_model_gradients(tiny_lm):
     mask = np.ones((2, 5))
 
     def loss_fn(backward=False):
-        logits, cache = tiny_lm.forward_tokens(ids)
-        loss, dlogits = masked_cross_entropy(logits, targets, mask)
-        if backward:
-            tiny_lm.backward_tokens(dlogits, cache)
-        return loss
+        return batch_loss(tiny_lm, (ids, targets, mask), backward=backward)[0]
 
     params = tiny_lm.params()
     for p in params.values():
@@ -79,9 +74,37 @@ def test_full_model_gradients(tiny_lm):
             assert grad_close(fd, grad[i]), name
 
 
+def test_batch_loss_gradients_with_a_prefix(tiny_lm):
+    """With a prefix over the anchor slots, `batch_loss` returns the prefix rows'
+    gradient and gives `tok_emb` only the other inputs' gradient (none to bos)."""
+    rng = np.random.default_rng(5)
+    tok = tiny_lm.tokenizer
+    batch = shifted_batch([tok.bos_id] * 2, [[4, 5, 6, tok.eos_id], [7, tok.eos_id]],
+                          tok.pad_id)
+    prefix = rng.standard_normal((2, 2, tiny_lm.config.d_model))
+
+    def loss_fn():
+        return batch_loss(tiny_lm, batch, prefix=prefix, backward=False)[0]
+
+    for p in tiny_lm.params().values():
+        p.zero_grad()
+    loss, dprefix = batch_loss(tiny_lm, batch, prefix=prefix)
+    assert loss == loss_fn() and dprefix.shape == prefix.shape
+    flat, grad = prefix.reshape(-1), dprefix.reshape(-1)
+    for i in rng.choice(flat.size, size=6, replace=False):
+        assert grad_close(central_difference(loss_fn, flat, i), grad[i])
+    tok_emb = tiny_lm.tok_emb
+    assert not tok_emb.grad[tok.bos_id].any()
+    for row in (4, 5, 6, 7):
+        assert tok_emb.grad[row].any()
+        for j in range(0, tiny_lm.config.d_model, 3):
+            fd = central_difference(loss_fn, tok_emb.value[row], j)
+            assert grad_close(fd, tok_emb.grad[row, j]), (row, j)
+
+
 def test_checksum_tracks_parameter_bits(tiny_lm):
     before = tiny_lm.checksum()
-    tiny_lm.forward_tokens(np.array([[4, 5]]))
+    tiny_lm.forward_embeds(tiny_lm.embed_tokens([[4, 5]]))
     assert tiny_lm.checksum() == before
     tiny_lm.head.b.value[0] += 1e-12
     assert tiny_lm.checksum() != before
@@ -94,8 +117,8 @@ def test_save_load_round_trip(tmp_path, tiny_lm):
     assert loaded.lm_id == tiny_lm.lm_id
     assert loaded.tokenizer.itos == tiny_lm.tokenizer.itos
     ids = np.array([[4, 5, 6]])
-    a, _ = tiny_lm.forward_tokens(ids)
-    b, _ = loaded.forward_tokens(ids)
+    a, _ = tiny_lm.forward_embeds(tiny_lm.embed_tokens(ids))
+    b, _ = loaded.forward_embeds(loaded.embed_tokens(ids))
     assert np.allclose(a, b, atol=1e-5)   # float32 storage
     # a second save/load is bit-stable
     loaded.save(tmp_path / "lm2")

@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import make_tiny_lm
 from test_mapper import small_mapper
-from ppst import mapper as mapper_mod
 from ppst import nn
 from ppst.mapper import prefix_batch_loss
 from ppst.nn import masked_cross_entropy
@@ -71,13 +70,12 @@ def test_mapper_batch_matches_the_former_layout(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(lm, "forward_embeds", recording("embeds", lm.forward_embeds))
-    monkeypatch.setattr(mapper_mod, "masked_cross_entropy",
-                        recording("loss", masked_cross_entropy))
+    monkeypatch.setattr(nn, "masked_cross_entropy", recording("loss", masked_cross_entropy))
     with nn.freeze_params(lm.params()):
         prefix_batch_loss(mapper, lm, embeddings, captions)
         prefixes, _ = mapper.forward_batch(embeddings)
         ref_embeds, ref_targets, ref_mask = reference_build_prefix_batch(prefixes, captions, lm)
-    (embeds,), (_, targets, mask) = seen["embeds"], seen["loss"]
+    (embeds, _), (_, targets, mask) = seen["embeds"], seen["loss"]
     assert targets.dtype == ref_targets.dtype and targets.tobytes() == ref_targets.tobytes()
     assert mask.dtype == ref_mask.dtype and mask.tobytes() == ref_mask.tobytes()
     assert embeds.shape == ref_embeds.shape

@@ -398,6 +398,30 @@ def test_mapper_trained_on_another_lm_fails_generate(workspace, capsys):
         assert "another base LM or encoder" in err
 
 
+def test_adapter_checkpoint_in_place_of_the_mapper_fails_generate(workspace, capsys):
+    config_path, cfg, images = workspace
+    (mapper_dir,) = run_dirs(cfg, "train-mapper-")
+    (adapter_dir,) = run_dirs(cfg, "train-adapter-romance-")
+    mapper = mapper_dir / "checkpoints" / "mapper"
+    shutil.rmtree(mapper)
+    shutil.copytree(adapter_dir / "checkpoints" / "adapter", mapper)
+    err = exits_2_naming(mapper, capsys, config_path, "generate", "--style", "plain",
+                         "--images", str(images))
+    assert "is not a prefix_mapper checkpoint" in err
+
+
+def test_mapper_manifest_that_does_not_match_its_tensors_fails_generate(workspace, capsys):
+    config_path, cfg, images = workspace
+    (mapper_dir,) = run_dirs(cfg, "train-mapper-")
+    manifest = mapper_dir / "checkpoints" / "mapper" / "manifest.json"
+    entry = json.loads(manifest.read_text())
+    entry["config"]["hidden_dim"] += 1
+    manifest.write_text(json.dumps(entry))
+    err = exits_2_naming(manifest.parent / "tensors.bin", capsys, config_path, "generate",
+                         "--style", "plain", "--images", str(images))
+    assert "stored tensors do not match the prefix_mapper model" in err
+
+
 def test_training_that_changes_the_frozen_lm_exits_2(workspace, monkeypatch, capsys):
     config_path, cfg, _ = workspace
     real = cli.train_adapter

@@ -137,3 +137,13 @@ def test_only_the_training_loop_zeroes_gradients():
     calls = [(path.name, line) for path in SOURCES if path.name != "nn.py"
              for line in zero_grad_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert not calls, f"zero_grad called outside nn.py: {calls}"
+
+
+def test_only_batch_loss_scores_a_batch():
+    """Every trainer scores its batches through `lm.batch_loss`: no other function
+    reads `masked_cross_entropy`, so a second batch-loss body cannot come back unnoticed."""
+    readers = [f"{path.stem}.{function}" for path in SOURCES
+               for node, function in nodes_with_function(ast.parse(path.read_text("utf-8")))
+               if "masked_cross_entropy" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None))]
+    assert readers == ["lm.batch_loss"], readers

@@ -3,7 +3,8 @@
 `reference_train_mapper` and `reference_train_text_model` are the former
 `mapper.train_mapper` loop and `adapters._train_text_model`, kept as the oracle:
 every trainer must give the same loss log, key order included, and bit-equal
-trained parameters.
+trained parameters. The oracle scores its batches itself, as those loops did,
+not through `lm.batch_loss`.
 """
 
 import copy
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import make_tiny_lm
 from test_mapper import StubEncoder
+from test_prefix_layout import reference_prefix_batch_loss
 from ppst import nn
 from ppst.adapters import (AdapterTrainConfig, StyleAdapterSet, train_adapter,
                            train_full_finetune, train_on_texts)
@@ -22,8 +24,7 @@ from ppst.artifacts import strict_checksum
 from ppst.corpus import ImageCaptionPair, StyledPassage
 from ppst.errors import ConfigurationError, TrainingDiverged
 from ppst.lm import sequence_nll, teacher_forced_batch
-from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, prefix_batch_loss,
-                         train_mapper)
+from ppst.mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
 from ppst.nn import masked_cross_entropy
 
 
@@ -48,8 +49,8 @@ def reference_train_mapper(pairs, encoder, base_lm, cfg, mapper_config):
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start: start + cfg.batch_size]
                 optimizer.zero_grad()
-                loss = prefix_batch_loss(mapper, base_lm, embeddings[idx],
-                                         [captions[i] for i in idx], backward=True)
+                loss = reference_prefix_batch_loss(mapper, base_lm, embeddings[idx],
+                                                   [captions[i] for i in idx], backward=True)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite mapper loss at epoch {epoch}, batch {start}")
@@ -61,7 +62,8 @@ def reference_train_mapper(pairs, encoder, base_lm, cfg, mapper_config):
 
 def reference_train_text_model(token_lists, lm, trainable_params, adapters, cfg, label):
     """Verbatim, except that `sequence_nll` now returns the mean NLL per token
-    that the loop computed from its (total, count)."""
+    that the loop computed from its (total, count), and that the LM's former
+    `forward_tokens` and `backward_tokens` are written out."""
     rng = np.random.default_rng(cfg.seed)
     n_val = int(len(token_lists) * cfg.val_fraction)
     order = rng.permutation(len(token_lists))
@@ -81,13 +83,15 @@ def reference_train_text_model(token_lists, lm, trainable_params, adapters, cfg,
             chunk = train[start: start + cfg.batch_size]
             inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer, max_len)
             optimizer.zero_grad()
-            logits, cache = lm.forward_tokens(inputs, adapters)
+            logits, cache = lm.forward_embeds(lm.embed_tokens(inputs), adapters)
             loss, dlogits = masked_cross_entropy(logits, targets, mask)
             del logits
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"{label}: non-finite loss at epoch {epoch}")
-            lm.backward_tokens(dlogits, cache)
-            del cache, dlogits
+            dembeds = lm.backward(dlogits, cache)
+            if lm.tok_emb.grad is not None:
+                np.add.at(lm.tok_emb.grad, inputs, dembeds)
+            del cache, dlogits, dembeds
             optimizer.step()
             epoch_losses.append(loss)
         entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
@@ -139,7 +143,7 @@ def test_train_adapter_matches_reference_when_stopping_early():
                              val_fraction=0.3, patience=1, learning_rate=2.0)
     adapter_set, log = train_adapter(passages(20, seed=5), make_tiny_lm(), cfg)
     lm = make_tiny_lm()
-    ref_set = StyleAdapterSet.create("romance", lm, seed=cfg.seed)
+    ref_set = StyleAdapterSet("romance", lm, seed=cfg.seed)
     token_lists = [lm.tokenizer.encode(p.text) for p in passages(20, seed=5)]
     with nn.freeze_params(lm.params()):
         ref_log = reference_train_text_model(token_lists, lm, ref_set.params(),
