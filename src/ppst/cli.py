@@ -311,6 +311,9 @@ def cmd_train_mapper(cfg, force=False):
     if not captions:
         raise InputError(f"caption dataset of {_stage(cfg, 'build-corpus').dir} is empty")
     encoder = HashedNgramEncoder(**cfg["encoder"])
+    mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
+                           lm_embed_dim=1)      # checked before any base-LM work; set below
+    train_cfg = _build(MapperTrainConfig, cfg["mapper"], seed=cfg["seed"])
     lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
 
@@ -321,9 +324,7 @@ def cmd_train_mapper(cfg, force=False):
     if stage.skip(input_fp, force):
         return
 
-    mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
-                           lm_embed_dim=lm.config.d_model)
-    train_cfg = _build(MapperTrainConfig, cfg["mapper"], seed=cfg["seed"])
+    mapper_config = dataclasses.replace(mapper_config, lm_embed_dim=lm.config.d_model)
     with stage.run(input_fp) as (out, manifest):
         with _frozen(lm):
             mapper, loss_log = train_mapper(captions, encoder, lm, train_cfg, mapper_config)
@@ -351,6 +352,7 @@ def cmd_train_adapter(cfg, style, force=False):
     _check_style(cfg, style)
     section = cfg["adapters"]
     train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"])
+    adapter_config = _build(AdapterConfig, section)
     passages, _ = _read_corpus(cfg)
     if style != "non-styled":
         passages = corpus_mod.filter_by_style(passages, style)
@@ -371,7 +373,6 @@ def cmd_train_adapter(cfg, style, force=False):
             tuned.save(out / "checkpoints" / "lm_finetuned")
             manifest.update(base_lm_fingerprint=lm_fp)
         else:
-            adapter_config = _build(AdapterConfig, section)
             with _frozen(lm):
                 adapter_set, loss_log = train_adapter(passages, lm, train_cfg, style=style,
                                                       adapter_config=adapter_config)

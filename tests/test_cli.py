@@ -382,6 +382,29 @@ def test_adapter_patience_below_one_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+TRAINING_RANGE_CASES = [("mapper", key, value, ["train-mapper"])
+                        for key in ("hidden_dim", "prefix_length", "max_epochs",
+                                    "learning_rate", "batch_size", "max_seq_len")
+                        for value in (0, -1)]
+TRAINING_RANGE_CASES.append(("adapters", "bottleneck_dim", -1,
+                             ["train-adapter", "--style", "romance"]))
+
+
+@pytest.mark.parametrize("section, key, value, command", TRAINING_RANGE_CASES,
+                         ids=[f"{s}.{k}={v}" for s, k, v, _ in TRAINING_RANGE_CASES])
+def test_bad_training_value_exits_2_before_the_base_lm(tmp_path, capsys, section, key,
+                                                       value, command):
+    config_path, cfg = build_workspace(tmp_path)
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    cfg[section][key] = value
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ppst {command[0]}: ") and "Traceback" not in err, err
+    assert run_dirs(cfg, "base-lm-") == []
+
+
 def test_train_adapter_zero_epochs_saves_identity_adapter(tmp_path, capsys):
     config_path, cfg = build_workspace(tmp_path)
     cfg["adapters"]["max_epochs"] = 0
