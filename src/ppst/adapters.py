@@ -35,7 +35,7 @@ class AdapterConfig:
 
     def __post_init__(self):
         if self.bottleneck_dim < 0:
-            raise ConfigurationError("bottleneck_dim must be >= 0")
+            raise ConfigurationError("AdapterConfig.bottleneck_dim must be >= 0")
         if self.init != "zero_up_projection":
             raise ConfigurationError(f"unknown adapter init {self.init!r}")
         nn.get_activation(self.activation)
@@ -242,14 +242,14 @@ class AdapterTrainConfig:
     patience: int = 2            # early stop after this many non-improving epochs
 
     def __post_init__(self):
-        if self.max_epochs < 0 or self.batch_size < 1 or self.max_seq_len < 2:
-            raise ConfigurationError("bad epoch/batch/sequence configuration")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        for field, low in (("max_epochs", 0), ("batch_size", 1), ("max_seq_len", 2),
+                           ("patience", 1)):
+            if getattr(self, field) < low:
+                raise ConfigurationError(f"AdapterTrainConfig.{field} must be >= {low}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("AdapterTrainConfig.learning_rate must be positive")
         if not (0.0 <= self.val_fraction < 1.0):
-            raise ConfigurationError("val_fraction must be in [0, 1)")
-        if self.patience < 1:
-            raise ConfigurationError("patience must be >= 1")
+            raise ConfigurationError("AdapterTrainConfig.val_fraction must be in [0, 1)")
 
 
 def _train_text_model(texts, lm, trainable_params, adapters, cfg, label):

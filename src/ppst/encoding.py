@@ -122,8 +122,10 @@ class HashedNgramEncoder:
     """
 
     def __init__(self, embed_dim=256, model_id=None, max_text_tokens=77, n_buckets=2048):
-        if embed_dim < 1 or n_buckets < 1 or max_text_tokens < 1:
-            raise ConfigurationError("encoder dimensions must be positive")
+        for field, value in (("embed_dim", embed_dim), ("n_buckets", n_buckets),
+                             ("max_text_tokens", max_text_tokens)):
+            if value < 1:
+                raise ConfigurationError(f"HashedNgramEncoder.{field} must be >= 1")
         self.embed_dim = embed_dim
         self.n_buckets = n_buckets
         self.max_text_tokens = max_text_tokens

@@ -45,10 +45,11 @@ class MapperTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_epochs < 1 or self.batch_size < 1 or self.max_seq_len < 2:
-            raise ConfigurationError("epochs, batch size and max_seq_len must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        for field, low in (("max_epochs", 1), ("batch_size", 1), ("max_seq_len", 2)):
+            if getattr(self, field) < low:
+                raise ConfigurationError(f"MapperTrainConfig.{field} must be >= {low}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("MapperTrainConfig.learning_rate must be positive")
 
 
 class PrefixMapper:

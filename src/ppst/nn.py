@@ -2,25 +2,28 @@
 
 Every layer exposes ``forward(x) -> (y, cache)`` and ``backward(dy, cache) -> dx``;
 ``backward`` accumulates into the ``grad`` of every param that has a gradient. A param
-owns a gradient buffer only after its first ``zero_grad``; one never trained, or
-frozen by ``freeze_params``, has none (``grad`` is None), so backward skips its
-products and only carries ``dx`` through. Caches are passed explicitly so forward-only
-inference is stateless and safe to run concurrently. A cache holds what backward reads
-and cannot rebuild cheaply: a Linear's input, LayerNorm's (xhat, 1/std), an
-activation's output (tanh), input (relu) or slope (gelu), and attention's q, k, v and
-weights. Backward rebuilds the rest with the forward's own operations, bit for bit: a
-LayerNorm output that feeds a Linear from xhat (``LayerNorm.affine``; it is the ``x``
-of attention's and the MLP's ``backward(dy, cache, x)``), and attention's context from
-its weights and v. Layers and ``Adam.step`` work in place on their own arrays, never
-on an input or a cache, in the operation order of the textbook expressions, so results
-are bit-equal to those (pinned in tests/test_nn.py). A forward given a ``past``
-(attention's k/v buffers) is decode-only: it writes k and v into the buffers in place,
-and the MLP caches no GELU slope, so no backward may follow. Every model trains
-through ``train_loop``: per batch it zeroes the gradients, runs the batch forward and
-backward, checks the loss is finite and steps Adam; after each epoch it writes one log
-entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop early on the validation
-loss. All math runs in float64; checkpoints store float32. The GELU's ``erf`` is scipy's
-own ufunc, loaded from its compiled module without importing ``scipy.special``.
+owns a gradient buffer only after its first ``zero_grad``; one never trained, or frozen
+by ``freeze_params``, has none (``grad`` is None), so backward skips its products and
+only carries ``dx`` through. Caches are passed explicitly so forward-only inference is
+stateless and safe to run concurrently. A cache holds what backward reads and cannot
+rebuild cheaply: a Linear's input, LayerNorm's (xhat, 1/std), an activation's output
+(tanh), input (relu) or slope (gelu), and attention's q, k, v and weights. Backward
+rebuilds the rest with the forward's own operations, bit for bit: a LayerNorm output
+that feeds a Linear from xhat (``LayerNorm.affine``; it is the ``x`` of attention's and
+the MLP's ``backward(dy, cache, x)``), and attention's context from its weights and v.
+Layers and ``Adam.step`` work in place on their own arrays and on the cache that their
+backward consumes (never on an input), in the operation order of the textbook
+expressions, so results are bit-equal to those (pinned in tests/test_nn.py). A training
+cache thus serves one backward: the MLP's writes its input gradient over the cached
+GELU output and empties the cache; a second raises. A training step holds the lower
+blocks' caches and one block's working set. A forward given a ``past`` (attention's k/v
+buffers) is decode-only: it writes k and v into the buffers in place, and the MLP
+caches no GELU slope, so no backward may follow. Every model trains through
+``train_loop``: per batch it zeroes the gradients, runs the batch forward and backward,
+checks the loss is finite and steps Adam; after each epoch it writes one log entry,
+{"epoch", "train_loss"[, "val_loss"]}, and may stop early on the validation loss. All
+math runs in float64; checkpoints store float32. The GELU's ``erf`` is scipy's own
+ufunc, loaded from its compiled module without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -110,21 +113,22 @@ def _relu_bwd(dy, x):
     return dy * (x > 0.0)
 
 
-def _gelu_fwd(x, backward=True):
-    """x * cdf(x), caching the slope cdf(x) + x * pdf(x) if a backward may follow."""
+def _gelu_fwd(x, backward=True, out=None):
+    """x * cdf(x) into `out` (may be x), caching cdf(x) + x * pdf(x) if backward follows."""
     cdf = x / math.sqrt(2.0)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    out = cdf if out is None else out
     if not backward:
-        return np.multiply(x, cdf, out=cdf), None
+        return np.multiply(x, cdf, out=out), None
     slope = np.multiply(x, -0.5)
     slope *= x
     np.exp(slope, out=slope)
     slope /= math.sqrt(2.0 * math.pi)
     slope *= x
     slope += cdf
-    return np.multiply(x, cdf, out=cdf), slope
+    return np.multiply(x, cdf, out=out), slope
 
 
 def _gelu_bwd(dy, slope):
@@ -158,13 +162,13 @@ class Linear:
         y += self.b.value
         return y, x
 
-    def backward(self, dy, x):
+    def backward(self, dy, x, out=None):
         d_in, d_out = self.w.value.shape
         if self.w.grad is not None:
             self.w.grad += x.reshape(-1, d_in).T @ dy.reshape(-1, d_out)
         if self.b.grad is not None:
             self.b.grad += dy.reshape(-1, d_out).sum(axis=0)
-        return dy @ self.w.value.T
+        return np.matmul(dy, self.w.value.T, out=out)    # `out` may be x, read above
 
     def params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -212,7 +216,11 @@ class LayerNorm:
 def _context(attn, v):
     """The heads' outputs side by side, (B, T, d_model): attention's proj input."""
     b, h, t, _ = attn.shape
-    return (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, h * v.shape[-1])
+    if t == 1:    # decode: (B, H, 1, dh) is already the (B, 1, H, dh) layout
+        return (attn @ v).reshape(b, t, -1)
+    ctx = np.empty((b, t, h, v.shape[-1]))
+    np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))    # no transposed copy
+    return ctx.reshape(b, t, -1)
 
 
 class CausalSelfAttention:
@@ -276,14 +284,15 @@ class Mlp:
 
     def forward(self, x, backward=True):
         h, _ = self.fc.forward(x)
-        a, slope = _gelu_fwd(h, backward)
+        a, slope = _gelu_fwd(h, backward, out=h)    # the GELU output replaces h
         y, _ = self.out.forward(a)
-        return y, (a, slope)
+        return y, [a, slope]
 
     def backward(self, dy, cache, x):
-        a, slope = cache
-        da = self.out.backward(dy, a)
-        da *= slope    # _gelu_bwd in place: da is out.backward's fresh array
+        if not cache:    # an earlier backward overwrote its GELU output
+            raise ConfigurationError("Mlp.backward: cache already consumed by a backward")
+        da = self.out.backward(dy, cache[0], out=cache.pop(0))    # over the GELU output
+        da *= cache.pop()    # _gelu_bwd in place; the cache is now empty
         return self.fc.backward(da, x)
 
     def params(self, prefix):
@@ -301,11 +310,13 @@ class TransformerBlock:
 
     def forward(self, x, past=None):
         n1, ln1_cache = self.ln1.forward(x)
-        a, attn_cache = self.attn.forward(n1, past)
-        h = x + a
+        h, attn_cache = self.attn.forward(n1, past)
+        del n1
+        h += x    # x + a, in place on attention's output
         n2, ln2_cache = self.ln2.forward(h)
         m, mlp_cache = self.mlp.forward(n2, past is None)
-        return h + m, (ln1_cache, attn_cache, ln2_cache, mlp_cache)
+        h += m
+        return h, (ln1_cache, attn_cache, ln2_cache, mlp_cache)
 
     def backward(self, dy, cache):
         ln1_cache, attn_cache, ln2_cache, mlp_cache = cache

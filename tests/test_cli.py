@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -382,12 +383,21 @@ def test_adapter_patience_below_one_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-TRAINING_RANGE_CASES = [("mapper", key, value, ["train-mapper"])
-                        for key in ("hidden_dim", "prefix_length", "max_epochs",
-                                    "learning_rate", "batch_size", "max_seq_len")
-                        for value in (0, -1)]
-TRAINING_RANGE_CASES.append(("adapters", "bottleneck_dim", -1,
-                             ["train-adapter", "--style", "romance"]))
+ADAPTER_COMMAND = ["train-adapter", "--style", "romance"]
+# 0 is a legal adapters.max_epochs and adapters.bottleneck_dim; NaN fails "> 0" too
+TRAINING_RANGE_CASES = (
+    [("mapper", key, value, ["train-mapper"])
+     for key in ("hidden_dim", "prefix_length", "max_epochs", "learning_rate", "batch_size",
+                 "max_seq_len")
+     for value in (0, -1)]
+    + [("encoder", key, value, ["train-mapper"])
+       for key in ("embed_dim", "n_buckets", "max_text_tokens") for value in (0, -1)]
+    + [("adapters", key, value, ADAPTER_COMMAND)
+       for key in ("batch_size", "max_seq_len", "learning_rate") for value in (0, -1)]
+    + [("adapters", "max_epochs", -1, ADAPTER_COMMAND),
+       ("adapters", "bottleneck_dim", -1, ADAPTER_COMMAND),
+       ("adapters", "learning_rate", math.nan, ADAPTER_COMMAND),
+       ("mapper", "learning_rate", math.nan, ["train-mapper"])])
 
 
 @pytest.mark.parametrize("section, key, value, command", TRAINING_RANGE_CASES,
@@ -402,7 +412,23 @@ def test_bad_training_value_exits_2_before_the_base_lm(tmp_path, capsys, section
     assert main(["--config", str(config_path), *command]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ppst {command[0]}: ") and "Traceback" not in err, err
+    assert f".{key} must be " in err, err
     assert run_dirs(cfg, "base-lm-") == []
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key in ("batch_size", "learning_rate")
+                                        for value in (0, -1)])
+def test_bad_pretraining_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
+    """Base-LM pretraining reads `lm.batch_size` and `lm.learning_rate` through
+    AdapterTrainConfig, whose errors name the field."""
+    config_path, cfg = build_workspace(tmp_path)
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    cfg["lm"][key] = value
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "train-mapper"]) == 2
+    err = capsys.readouterr().err
+    assert f"AdapterTrainConfig.{key} must be " in err and "Traceback" not in err, err
 
 
 def test_train_adapter_zero_epochs_saves_identity_adapter(tmp_path, capsys):

@@ -107,3 +107,22 @@ def test_fallback_without_the_compiled_module(tmp_path):
         tmp_path)
     assert out.split() == ["True", "True"]
     assert same_bits(np.load(tmp_path / "out.npy"), gelu(x))
+
+
+def test_an_already_loaded_scipy_special_is_used_as_it_is(tmp_path):
+    """With `scipy.special` imported first, `ppst.nn` neither looks up nor loads
+    the compiled module again: both loader calls raise here, and its erf is
+    scipy.special's own object."""
+    out = fresh_python(
+        "import importlib.machinery, importlib.util\nimport scipy.special\n"
+        "finder = importlib.machinery.PathFinder\nreal = finder.find_spec\n"
+        "def find_spec(name, path=None, target=None):\n"
+        "    if name.endswith('_special_ufuncs'):\n"
+        "        raise AssertionError('looked up ' + name)\n"
+        "    return real(name, path, target)\n"
+        "def module_from_spec(spec):\n"
+        "    raise AssertionError('loaded ' + spec.name)\n"
+        "finder.find_spec = find_spec\nimportlib.util.module_from_spec = module_from_spec\n"
+        "from ppst import nn\n"
+        "print(nn.erf is scipy.special.erf)", tmp_path)
+    assert out.split() == ["True"]

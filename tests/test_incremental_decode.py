@@ -105,9 +105,9 @@ def test_decode_forwards_compute_no_gelu_slope(monkeypatch):
     slopes = []
     gelu = nn._gelu_fwd
 
-    def recording(x, backward=True):
+    def recording(x, backward=True, out=None):
         slopes.append(backward)
-        return gelu(x, backward)
+        return gelu(x, backward, out)
 
     monkeypatch.setattr(nn, "_gelu_fwd", recording)
     _, past = model.prefill(make_prefix(model, True))

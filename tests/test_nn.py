@@ -8,7 +8,7 @@ from scipy.special import erf
 from conftest import central_difference, grad_close
 from ppst import nn
 from ppst.errors import ConfigurationError
-from ppst.lm import CausalTransformerLM, LmConfig
+from ppst.lm import CausalTransformerLM, LmConfig, batch_loss, shifted_batch
 from ppst.tokenizer import WordTokenizer
 
 
@@ -251,11 +251,12 @@ def test_building_an_lm_allocates_no_gradient_memory():
     assert all(p.grad is None for p in lm.params().values())
 
 
-def test_mlp_backward_allocates_one_hidden_gradient():
-    """dy @ W_out.T is the only (B, T, d_ff) array backward makes: the GELU slope
-    goes into it in place. With dx, (B, T, d_model), a quarter of one at
-    d_ff = 4 * d_model, or a (d_model, d_ff) weight-gradient product, an eighth
-    of one at B * T = 8 * d_model, the peak stays below 1.5 of them."""
+def test_mlp_backward_allocates_no_hidden_array():
+    """Backward makes no (B, T, d_ff) array: dy @ W_out.T goes into the cached GELU
+    output once out's weight gradient has read it, and the slope is multiplied in
+    there. What it does allocate is dx, (B, T, d_model), a quarter of one such
+    array at d_ff = 4 * d_model, and a (d_model, d_ff) weight-gradient product, an
+    eighth of one at B * T = 8 * d_model, so the peak stays below 3/8 of one."""
     b, t, d, d_ff = 4, 64, 32, 128
     rng = np.random.default_rng(19)
     mlp = nn.Mlp(d, d_ff, rng)
@@ -270,7 +271,61 @@ def test_mlp_backward_allocates_one_hidden_gradient():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * b * t * d_ff
+    assert peak < 0.375 * 8 * b * t * d_ff
+    assert cache == []      # the GELU output and slope are released
+
+
+def test_a_training_cache_serves_one_backward():
+    """Backward overwrites the MLP's cached GELU output, so a second backward on
+    the same cache (the MLP's, a block's or the LM's) must raise, not return wrong
+    gradients."""
+    rng = np.random.default_rng(21)
+    block = nn.TransformerBlock(8, 2, 32, rng)
+    x = rng.standard_normal((2, 3, 8))
+    _, mlp_cache = block.mlp.forward(x)
+    _, block_cache = block.forward(x)
+    lm = CausalTransformerLM(LmConfig(vocab_size=12, n_layer=2, d_model=8),
+                             WordTokenizer([f"w{i}" for i in range(8)]), seed=2)
+    logits, lm_cache = lm.forward_embeds(rng.standard_normal((2, 3, 8)))
+    for backward in (lambda: block.mlp.backward(x, mlp_cache, x),
+                     lambda: block.backward(x, block_cache),
+                     lambda: lm.backward(np.ones_like(logits), lm_cache)):
+        backward()
+        with pytest.raises(ConfigurationError, match="consumed"):
+            backward()
+
+
+def test_lm_training_step_holds_the_lower_caches_and_one_working_set():
+    """The peak of one full-parameter `batch_loss` through a 4-layer LM, with
+    u = 8 * B * T * d_model bytes, A = 8 * B * n_head * T * T and d_ff = 4 * d_model.
+    It comes in the top block's GELU, when the forward holds:
+      the three lower blocks' caches, 13u + A + 16 * B * T each (see
+      test_cache_rebuild.py);
+      the top block's LayerNorm and attention caches, 5u + A + 16 * B * T;
+      its input, its residual and ln2's output, u each;
+      the fc product, erf's cdf and the slope, 4u each;
+      the input embeddings, u;
+    L * (13u + A + 16 * B * T) + 8u in all, below the bound of L * (13u + A +
+    16 * B * T) + 10u. A forward that kept the MLP's pre-activation, the
+    LayerNorm outputs and the context, and a backward that made a fresh
+    (B, T, d_ff) gradient beside the GELU output, peaked 5.9u above the bound."""
+    b, t, d, n_head, n_layer = 4, 32, 32, 2, 4
+    tok = WordTokenizer([f"w{i}" for i in range(8)])
+    lm = CausalTransformerLM(LmConfig(vocab_size=tok.vocab_size, n_layer=n_layer,
+                                      n_head=n_head, d_model=d, max_seq_len=64), tok, seed=1)
+    for p in lm.params().values():
+        p.zero_grad()
+    rng = np.random.default_rng(22)
+    batch = shifted_batch([tok.bos_id], rng.integers(4, tok.vocab_size, (b, t)).tolist(),
+                          tok.pad_id)
+    u = 8 * b * t * d
+    tracemalloc.start()
+    try:
+        batch_loss(lm, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_layer * (13 * u + 8 * b * n_head * t * t + 16 * b * t) + 10 * u
 
 
 # ---------------------------------------------------------------------------
