@@ -10,8 +10,8 @@ genre on style-filtered passages gives a swappable, plug-and-play stylistic
 LM; the base weights are never touched. `train_full_finetune` covers the
 non-styled comparison system (all LM parameters trained, no adapters). The adapters,
 the fine-tune, the mapper and base-LM pretraining all train through `nn.train_loop`
-and score their batches with `lm.batch_loss`. A set sizes a 0 bottleneck itself, to
-the LM's d_model // 8 (at least 1).
+and score their batches with `lm.batch_loss`. A set sizes its bottleneck to its LM
+(`AdapterConfig.sized`).
 """
 
 from __future__ import annotations
@@ -40,11 +40,19 @@ class AdapterConfig:
             raise ConfigurationError(f"unknown adapter init {self.init!r}")
         nn.get_activation(self.activation)
 
+    def sized(self, d_model):
+        """This config for an LM of width `d_model`, whose bottleneck must be narrower:
+        a 0 bottleneck becomes max(1, d_model // 8)."""
+        config = replace(self, bottleneck_dim=self.bottleneck_dim or max(1, d_model // 8))
+        if config.bottleneck_dim >= d_model:
+            raise ConfigurationError(f"AdapterConfig.bottleneck_dim {config.bottleneck_dim} "
+                                     f"must be < the LM's d_model {d_model}")
+        return config
+
 
 class AdapterBlock:
     def __init__(self, lm_hidden_dim, config: AdapterConfig, rng):
-        if config.bottleneck_dim >= lm_hidden_dim:
-            raise ConfigurationError("bottleneck_dim must be < lm_hidden_dim")
+        config = config.sized(lm_hidden_dim)
         self.ln = nn.LayerNorm(lm_hidden_dim)
         self.down = nn.Linear(lm_hidden_dim, config.bottleneck_dim, rng)
         self.up = nn.Linear(config.bottleneck_dim, lm_hidden_dim, rng)
@@ -76,11 +84,10 @@ class StyleAdapterSet:
     """One adapter block per LM layer, trained for a single style."""
 
     def __init__(self, style_id, base_lm, config=None, seed=0, lm_fingerprint=None):
-        """Fresh blocks sized for `base_lm`, trained against it or, as loaded, against
-        the LM of `lm_fingerprint`. A 0 bottleneck resolves to max(1, d_model // 8)."""
+        """Fresh blocks sized for `base_lm` (`AdapterConfig.sized`), trained against it
+        or, as loaded, against the LM of `lm_fingerprint`."""
         d = base_lm.config.d_model
-        config = config or AdapterConfig()
-        self.config = replace(config, bottleneck_dim=config.bottleneck_dim or max(1, d // 8))
+        self.config = (config or AdapterConfig()).sized(d)
         self.style_id = style_id
         rng = np.random.default_rng(seed)
         self.blocks = [AdapterBlock(d, self.config, rng) for _ in base_lm.blocks]

@@ -8,11 +8,14 @@
 
 The config is a single JSON file with per-stage sections (see DEFAULT_CONFIG).
 The keys and defaults of `lm`, `mapper`, `adapters`, `decode`, `encoder` and
-`eval` are the parameters of the dataclasses, encoder and evaluator that each
-stage builds from them (SECTION_CLASSES). A value must have its default's type:
-an int passes for a float and stays an int, a bool is no number, and a None
-default takes null or the field's type (a string for paths and ids).
-`adapters.bottleneck_dim` 0 means `d_model // 8`. Each command is a `Stage`
+`eval` are the parameters of the classes and functions each stage builds from
+them (SECTION_CLASSES). A value must have its default's type: an int passes for
+a float and stays an int, a bool is no number, and a None default takes null or
+the field's type (a string for paths and ids). The load then builds those
+classes, with stand-ins for what a stage supplies later, so a value in any
+section that one refuses blocks every command: "config key <section>.<key> =
+<value>: <the class's rule>". `adapters.bottleneck_dim` 0 means `d_model // 8`;
+it must be below a built LM's `lm.d_model`. Each command is a `Stage`
 with a run directory `<artifacts_dir>/<stage>-<confighash>/`; the hash also
 covers the files of an explicit `lm.checkpoint`. A stage holds a `flock` on its
 `.lock` (the kernel drops it when the holder dies), works in a staging dir, then
@@ -25,9 +28,9 @@ A downstream stage reads only complete upstream runs. `generate` checks that
 the mapper, an adapter and a non-styled fine-tune come from the base LM in use.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
-corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG or of
-the wrong type, a style that is not a plain name, a held lock or a mismatched
-checkpoint; 3 numeric failure.
+corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG, of
+the wrong type or out of range, a style that is not a plain name, a held lock or
+a mismatched checkpoint; 3 numeric failure.
 The external-scorer endpoint is taken from $PPST_SCORER_ENDPOINT.
 """
 
@@ -36,7 +39,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import inspect
 import json
 import os
@@ -54,7 +56,8 @@ from .artifacts import (Stage, fingerprint_file, fingerprint_json, read_json,
                         read_jsonl, read_manifest, read_text, require_utf8,
                         tensors_fingerprint, write_jsonl)
 from .encoding import HashedNgramEncoder
-from .errors import CompatibilityError, InputError, PpstError, TrainingDiverged
+from .errors import (CompatibilityError, ConfigurationError, InputError, PpstError,
+                     TrainingDiverged)
 from .generation import DecodeConfig, generate
 from .lm import CausalTransformerLM, LmConfig
 from .mapper import MapperConfig, MapperTrainConfig, PrefixMapper, train_mapper
@@ -63,18 +66,34 @@ from .tokenizer import SPECIALS, WordTokenizer
 
 SCORER_ENDPOINT_ENV = "PPST_SCORER_ENDPOINT"
 
+
+def base_lm_pretraining(max_seq_len, max_vocab=512, pretrain_epochs=1, learning_rate=1e-3,
+                        batch_size=8, seed=0):
+    """The training of a built base LM of context `max_seq_len`, whose vocabulary holds
+    `max_vocab` words, one besides the specials: `pretrain_epochs` (0: none), none held out."""
+    if max_vocab < len(SPECIALS) + 1:
+        raise ConfigurationError("base_lm_pretraining.max_vocab must be >= "
+                                 f"{len(SPECIALS) + 1}")
+    return AdapterTrainConfig(pretrain_epochs, learning_rate, batch_size, max_seq_len, seed,
+                              val_fraction=0.0)
+
+
 # the classes or functions each section feeds; its keys are their parameters
 # that have a default, less the ones a stage supplies, with those defaults
-SECTION_CLASSES = {"lm": (LmConfig,), "mapper": (MapperConfig, MapperTrainConfig),
-                   "adapters": (AdapterTrainConfig,), "decode": (DecodeConfig,),
+SECTION_CLASSES = {"lm": (LmConfig, base_lm_pretraining),
+                   "mapper": (MapperConfig, MapperTrainConfig),
+                   "adapters": (AdapterConfig, AdapterTrainConfig), "decode": (DecodeConfig,),
                    "encoder": (HashedNgramEncoder,), "eval": (evaluate_run,)}
+# at load, in place of what a stage supplies from a model or input it reads later
+STAND_INS = {"vocab_size": 1, "input_dim": 1, "lm_embed_dim": 1,
+             "records": (), "references": {}}
 
 
 def _defaults(section):
     return {name: p.default for cls in SECTION_CLASSES[section]
             for name, p in inspect.signature(cls).parameters.items()
             if p.default is not p.empty
-            and name not in ("seed", "encoder", "scorer_endpoint")}
+            and name not in ("seed", "encoder", "scorer_endpoint", "init")}
 
 
 DEFAULT_CONFIG = {
@@ -89,25 +108,45 @@ DEFAULT_CONFIG = {
     "encoder": _defaults("encoder"),
     "lm": {
         "checkpoint": None,         # use an existing LM checkpoint instead of building
-        **_defaults("lm"),          # then the tokenizer and pretraining of a built LM:
-        "max_vocab": 512, "pretrain_epochs": 1, "learning_rate": 1e-3, "batch_size": 8,
+        **_defaults("lm"),
     },
     "mapper": _defaults("mapper"),
-    "adapters": {
-        "styles": ["romance", "action"],
-        "bottleneck_dim": AdapterConfig.bottleneck_dim,     # 0 -> lm d_model // 8
-        "activation": AdapterConfig.activation,
-        **_defaults("adapters"),
-    },
+    "adapters": {"styles": ["romance", "action"], **_defaults("adapters")},
     "decode": _defaults("decode"),
     "eval": _defaults("eval"),
 }
 
 
 def _build(cls, section, **supplied):
-    """A `cls` from the keys of config `section` that are its fields."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{**{k: v for k, v in section.items() if k in names}, **supplied})
+    """A `cls` from the keys of config `section` and `supplied` that are its parameters."""
+    names = inspect.signature(cls).parameters
+    return cls(**{k: v for k, v in {**section, **supplied}.items() if k in names})
+
+
+def _refusal(values, exc):
+    """The InputError naming config keys `values` ({section.key: value}) and `exc`."""
+    named = ", ".join(f"{name} = {json.dumps(value)}" for name, value in values.items())
+    return InputError(f"config key{'s' * (len(values) > 1)} {named}: {exc}")
+
+
+def _check_section(cfg, section):
+    """Build what `section` feeds (SECTION_CLASSES, with STAND_INS). A refusal names the
+    changed keys whose default alone would pass (one bad value, or the two fields of
+    one rule); failing those, every changed key."""
+    values, defaults = cfg[section], DEFAULT_CONFIG[section]
+
+    def refused(trial):     # the ConfigurationError of `trial`, or None
+        try:
+            for cls in SECTION_CLASSES[section]:
+                _build(cls, trial, **STAND_INS)
+        except ConfigurationError as exc:
+            return exc
+
+    changed = [key for key in values if values[key] != defaults[key]]     # NaN too
+    exc = refused(values) if changed else None      # the defaults pass
+    if exc is not None:
+        blamed = [k for k in changed if refused({**values, k: defaults[k]}) is None]
+        raise _refusal({f"{section}.{k}": values[k] for k in blamed or changed}, exc)
 
 
 def _check_type(name, default, value):
@@ -153,10 +192,15 @@ def load_config(path, seed=None):
         if style in ("", ".", "..") or {"/", os.sep, os.altsep} & set(style):
             raise InputError("config key adapters.styles must hold plain names, not "
                              f"{json.dumps(style)}")
-    # a built LM's vocabulary holds a word besides the specials; pretraining may be off
-    for key, least in (("max_vocab", len(SPECIALS) + 1), ("pretrain_epochs", 0)):
-        if cfg["lm"][key] < least:
-            raise InputError(f"config key lm.{key} must be >= {least}, not {cfg['lm'][key]}")
+    for section in SECTION_CLASSES:
+        _check_section(cfg, section)
+    lm, adapters = cfg["lm"], cfg["adapters"]
+    if not lm["checkpoint"]:        # a built LM's width is known before it is built
+        try:
+            _build(AdapterConfig, adapters).sized(lm["d_model"])
+        except ConfigurationError as exc:
+            raise _refusal({"adapters.bottleneck_dim": adapters["bottleneck_dim"],
+                            "lm.d_model": lm["d_model"]}, exc)
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -286,9 +330,8 @@ def ensure_base_lm(cfg):
             tokenizer = WordTokenizer.build(texts, max_vocab=section["max_vocab"])
             lm_config = _build(LmConfig, section, vocab_size=tokenizer.vocab_size)
             lm = CausalTransformerLM(lm_config, tokenizer, seed=cfg["seed"])
-            if section["pretrain_epochs"] > 0:
-                train_cfg = _build(AdapterTrainConfig, section, seed=cfg["seed"],
-                                   max_epochs=section["pretrain_epochs"], val_fraction=0.0)
+            train_cfg = _build(base_lm_pretraining, section, seed=cfg["seed"])
+            if train_cfg.max_epochs > 0:
                 if passages:
                     train_on_texts([p.text for p in passages], lm, train_cfg,
                                    "base-lm passages")
@@ -311,9 +354,6 @@ def cmd_train_mapper(cfg, force=False):
     if not captions:
         raise InputError(f"caption dataset of {_stage(cfg, 'build-corpus').dir} is empty")
     encoder = HashedNgramEncoder(**cfg["encoder"])
-    mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
-                           lm_embed_dim=1)      # checked before any base-LM work; set below
-    train_cfg = _build(MapperTrainConfig, cfg["mapper"], seed=cfg["seed"])
     lm = ensure_base_lm(cfg)
     lm_fp = lm.fingerprint()
 
@@ -324,7 +364,9 @@ def cmd_train_mapper(cfg, force=False):
     if stage.skip(input_fp, force):
         return
 
-    mapper_config = dataclasses.replace(mapper_config, lm_embed_dim=lm.config.d_model)
+    mapper_config = _build(MapperConfig, cfg["mapper"], input_dim=encoder.embed_dim,
+                           lm_embed_dim=lm.config.d_model)
+    train_cfg = _build(MapperTrainConfig, cfg["mapper"], seed=cfg["seed"])
     with stage.run(input_fp) as (out, manifest):
         with _frozen(lm):
             mapper, loss_log = train_mapper(captions, encoder, lm, train_cfg, mapper_config)

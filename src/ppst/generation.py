@@ -66,20 +66,13 @@ class DecodeConfig:
     def __post_init__(self):
         if self.max_length is None:
             self.max_length = self.min_length + 256
-        if self.beam_size < 1:
-            raise ConfigurationError("beam_size must be >= 1")
-        if self.top_k < 1:
-            raise ConfigurationError("top_k must be >= 1")
-        if self.no_repeat_ngram < 2:
-            raise ConfigurationError("no_repeat_ngram must be >= 2")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be > 0")
-        if self.repetition_penalty <= 0:
-            raise ConfigurationError("repetition_penalty must be > 0")
-        if self.length_decay_factor < 1:
-            raise ConfigurationError("length_decay_factor must be >= 1")
-        if self.min_length < 0 or self.max_length < 1:
-            raise ConfigurationError("lengths must be non-negative")
+        for field, low in (("beam_size", 1), ("top_k", 1), ("no_repeat_ngram", 2),
+                           ("length_decay_factor", 1), ("min_length", 0), ("max_length", 1)):
+            if not getattr(self, field) >= low:     # false for NaN too
+                raise ConfigurationError(f"DecodeConfig.{field} must be >= {low}")
+        for field in ("temperature", "repetition_penalty"):
+            if not getattr(self, field) > 0:
+                raise ConfigurationError(f"DecodeConfig.{field} must be > 0")
 
 
 @dataclass

@@ -37,6 +37,8 @@ class LmConfig:
         for field in ("vocab_size", "n_layer", "n_head", "d_model", "d_ff", "max_seq_len"):
             if getattr(self, field) < 1:
                 raise ConfigurationError(f"LmConfig.{field} must be positive")
+        if self.d_model % self.n_head:
+            raise ConfigurationError("LmConfig.d_model must be a multiple of LmConfig.n_head")
 
 
 class CausalTransformerLM:

@@ -227,8 +227,6 @@ class CausalSelfAttention:
     """Multi-head self-attention with a causal mask, no dropout."""
 
     def __init__(self, d_model, n_head, rng):
-        if d_model % n_head != 0:
-            raise ConfigurationError(f"d_model {d_model} not divisible by n_head {n_head}")
         self.n_head = n_head
         self.d_head = d_model // n_head
         self.qkv = Linear(d_model, 3 * d_model, rng)

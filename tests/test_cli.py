@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 import re
@@ -119,9 +121,12 @@ def test_build_corpus_missing_inputs_exit_2(tmp_path):
     ({"eval": {"clip_weight": False}}, "config key eval.clip_weight must be int or float"),
     ({"seed": "7"}, "config key seed must be int"),
     ({"decode": {"beam_size": 0}}, "beam_size must be >= 1"),
-    ({"lm": {"pretrain_epochs": -1}}, "config key lm.pretrain_epochs must be >= 0"),
-    ({"lm": {"max_vocab": 0}}, "config key lm.max_vocab must be >= 5"),
-    ({"lm": {"max_vocab": -3}}, "config key lm.max_vocab must be >= 5"),
+    ({"lm": {"pretrain_epochs": -1}},
+     "config key lm.pretrain_epochs = -1: AdapterTrainConfig.max_epochs must be >= 0"),
+    ({"lm": {"max_vocab": 0}},
+     "config key lm.max_vocab = 0: base_lm_pretraining.max_vocab must be >= 5"),
+    ({"lm": {"max_vocab": -3}},
+     "config key lm.max_vocab = -3: base_lm_pretraining.max_vocab must be >= 5"),
     ({"adapters": {"styles": ["/../../x"]}}, "config key adapters.styles must hold plain"),
     ({"adapters": {"styles": ["romance", ".."]}}, "config key adapters.styles must hold plain"),
     ({"adapters": {"styles": [""]}}, "config key adapters.styles must hold plain"),
@@ -148,6 +153,95 @@ def test_config_int_passes_for_float_uncoerced(tmp_path):
     cfg = load_config(config_path)
     assert cfg["lm"]["learning_rate"] == 1 and type(cfg["lm"]["learning_rate"]) is int
     assert cfg["decode"]["max_length"] == 40
+
+
+CHECKED_SECTIONS = ("lm", "encoder", "mapper", "adapters", "decode", "eval")
+
+
+def test_every_checked_key_is_a_parameter_of_one_section_class():
+    """A key reaches the load-time check only through the class that takes it."""
+    from ppst import cli
+    for section in CHECKED_SECTIONS:
+        for key, default in cli.DEFAULT_CONFIG[section].items():
+            if f"{section}.{key}" in ("lm.checkpoint", "adapters.styles"):
+                continue
+            owners = [p.default for cls in cli.SECTION_CLASSES[section]
+                      for name, p in inspect.signature(cls).parameters.items()
+                      if name == key and p.default is not p.empty]
+            assert owners == [default], f"{section}.{key}"
+
+
+def numeric_sweep():
+    """Each numeric key of the workspace at 0 and -1, and at NaN when it takes a float."""
+    from ppst.cli import DEFAULT_CONFIG
+    cfg = workspace_config("/workspace")
+    return [(section, key, value) for section in CHECKED_SECTIONS
+            for key, v in {**DEFAULT_CONFIG[section], **cfg.get(section, {})}.items()
+            if type(v) in (int, float)
+            for value in (0, -1) + ((math.nan,) if type(DEFAULT_CONFIG[section][key]) is float
+                                    else ())]
+
+
+SWEEP = numeric_sweep()
+LEGAL = {("lm", "d_ff", 0), ("lm", "pretrain_epochs", 0), ("adapters", "bottleneck_dim", 0),
+         ("adapters", "max_epochs", 0), ("adapters", "val_fraction", 0),
+         ("decode", "length_decay_start", 0), ("decode", "length_decay_start", -1),
+         ("decode", "min_length", 0)}
+
+
+def test_sweep_covers_36_numeric_keys():
+    assert len({(s, k) for s, k, _ in SWEEP}) == 36 and len(SWEEP) == 81
+    assert LEGAL <= set(SWEEP)
+
+
+@pytest.mark.parametrize("section, key, value", SWEEP,
+                         ids=[f"{s}.{k}={v}" for s, k, v in SWEEP])
+def test_every_numeric_value_is_checked_at_load(tmp_path, capsys, section, key, value):
+    from ppst.cli import load_config
+    cfg = workspace_config(tmp_path)
+    cfg.setdefault(section, {})[key] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    if (section, key, value) in LEGAL:
+        assert load_config(config_path)[section][key] == value
+        return
+    assert main(["--config", str(config_path), "build-corpus"]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {section}.{key} = {json.dumps(value)}: " in err, err
+    assert "Traceback" not in err and not (tmp_path / "runs").exists(), err
+
+
+def test_load_builds_the_encoder_only_for_a_changed_encoder_section(tmp_path, monkeypatch):
+    """The default encoder's projection is the one costly build of the load check."""
+    from ppst import cli
+    built, init = [], cli.HashedNgramEncoder.__init__
+
+    @functools.wraps(init)
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.HashedNgramEncoder, "__init__", counting_init)
+    config_path = tmp_path / "config.json"
+    for user, builds in (({"lm": {"d_model": 64}, "decode": {"beam_size": 2}}, 0),
+                         (workspace_config(tmp_path), 1)):
+        config_path.write_text(json.dumps(user))
+        cli.load_config(config_path)
+        assert len(built) == builds
+
+
+def test_d_model_and_n_head_that_do_not_divide_exit_2_naming_both(tmp_path, capsys):
+    from ppst.cli import load_config
+    cfg = workspace_config(tmp_path)        # no build-corpus run to read
+    cfg["lm"].update(d_model=18, n_head=4)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "config.json"), "train-mapper"]) == 2
+    err = capsys.readouterr().err
+    assert "config keys lm.n_head = 4, lm.d_model = 18: " in err, err
+    assert "multiple of LmConfig.n_head" in err and "Traceback" not in err, err
+    cfg["lm"].update(d_model=24, n_head=3)      # n_head 3 alone fails the default d_model 32
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert load_config(tmp_path / "config.json")["lm"]["n_head"] == 3
 
 
 # Run-dir names hash the resolved config: a change to how the config is
@@ -420,7 +514,7 @@ def test_bad_training_value_exits_2_before_the_base_lm(tmp_path, capsys, section
                                         for value in (0, -1)])
 def test_bad_pretraining_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     """Base-LM pretraining reads `lm.batch_size` and `lm.learning_rate` through
-    AdapterTrainConfig, whose errors name the field."""
+    AdapterTrainConfig; the error names the config key and the field."""
     config_path, cfg = build_workspace(tmp_path)
     assert main(["--config", str(config_path), "build-corpus"]) == 0
     cfg["lm"][key] = value
@@ -428,7 +522,20 @@ def test_bad_pretraining_value_exits_2_naming_the_field(tmp_path, capsys, key, v
     capsys.readouterr()
     assert main(["--config", str(config_path), "train-mapper"]) == 2
     err = capsys.readouterr().err
-    assert f"AdapterTrainConfig.{key} must be " in err and "Traceback" not in err, err
+    assert f"config key lm.{key} = {value}: AdapterTrainConfig.{key} must be " in err, err
+    assert "Traceback" not in err, err
+
+
+def test_bottleneck_as_wide_as_the_lm_exits_2_before_the_base_lm(tmp_path, capsys):
+    config_path, cfg = build_workspace(tmp_path)
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    cfg["adapters"]["bottleneck_dim"] = cfg["lm"]["d_model"]
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), *ADAPTER_COMMAND]) == 2
+    err = capsys.readouterr().err
+    assert "config keys adapters.bottleneck_dim = 16, lm.d_model = 16: " in err, err
+    assert "Traceback" not in err and run_dirs(cfg, "base-lm-") == [], err
 
 
 def test_train_adapter_zero_epochs_saves_identity_adapter(tmp_path, capsys):
@@ -668,6 +775,20 @@ def test_clip_weight_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, w
     err = capsys.readouterr().err
     assert "clip_weight" in err and "Traceback" not in err, err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key", ("temperature", "repetition_penalty", "length_decay_factor"))
+def test_nan_decode_value_exits_2_before_generate(trained, tmp_path, capsys, key):
+    tmp, _, cfg = trained
+    cfg = dict(cfg, decode=dict(cfg["decode"], **{key: math.nan}))
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    before = run_dirs(cfg, "generate-")
+    capsys.readouterr()
+    assert main(["--config", str(tmp_path / "config.json"), "generate", "--style", "plain",
+                 "--images", str(tmp / "images")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key decode.{key} = NaN: DecodeConfig.{key} must be " in err, err
+    assert "Traceback" not in err and run_dirs(cfg, "generate-") == before, err
 
 
 def test_generate_error_line_is_skipped_by_evaluate(tmp_path, capsys):

@@ -40,7 +40,9 @@ def test_max_length_defaults_to_min_plus_256():
 @pytest.mark.parametrize("kw", [dict(beam_size=0), dict(top_k=0),
                                 dict(no_repeat_ngram=1), dict(temperature=0.0),
                                 dict(repetition_penalty=0.0),
-                                dict(length_decay_factor=0.9)])
+                                dict(length_decay_factor=0.9), dict(temperature=math.nan),
+                                dict(repetition_penalty=math.nan),
+                                dict(length_decay_factor=math.nan)])
 def test_config_validation(kw):
     with pytest.raises(ConfigurationError):
         DecodeConfig(**kw)

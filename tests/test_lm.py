@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import central_difference, grad_close
-from ppst.errors import ConfigurationError
+from ppst.errors import CompatibilityError, ConfigurationError
 from ppst.adapters import StyledLanguageModel
-from ppst.lm import batch_loss, pad_batch, shifted_batch, teacher_forced_batch
+from ppst.lm import LmConfig, batch_loss, pad_batch, shifted_batch, teacher_forced_batch
 
 
 def test_forward_shapes(tiny_lm):
@@ -124,6 +126,17 @@ def test_save_load_round_trip(tmp_path, tiny_lm):
     loaded.save(tmp_path / "lm2")
     again = type(tiny_lm).load(tmp_path / "lm2")
     assert again.checksum() == loaded.checksum()
+
+
+def test_d_model_must_be_a_multiple_of_n_head(tmp_path, tiny_lm):
+    with pytest.raises(ConfigurationError, match="d_model must be a multiple of"):
+        LmConfig(vocab_size=8, d_model=18, n_head=4)
+    tiny_lm.save(tmp_path / "lm")
+    manifest = json.loads((tmp_path / "lm" / "manifest.json").read_text())
+    manifest["config"]["n_head"] = 3        # d_model 8
+    (tmp_path / "lm" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CompatibilityError, match="d_model must be a multiple of"):
+        type(tiny_lm).load(tmp_path / "lm")
 
 
 def test_perplexity_positive_and_finite(tiny_lm):
