@@ -192,31 +192,40 @@ class StyledLanguageModel:
 
     def prefill(self, prefix_matrix):
         """Run the anchor once: (logits (1, vocab) for the first token, past). The
-        past `(kv, S)` holds per layer K and V buffers (beams, H, max_seq_len, dh)."""
+        past `(kv, S, rows)` holds per layer K and V buffers (beams, H, max_seq_len,
+        dh) and, per beam, the buffer row that holds it."""
         anchor = self._anchor(prefix_matrix)[None]
         attn = self.base_lm.blocks[0].attn
         shape = (1, attn.n_head, self.context_limit, attn.d_head)
         kv = [(np.empty(shape), np.empty(shape)) for _ in self.base_lm.blocks]
         logits, _ = self.base_lm.forward_embeds(anchor, self.adapters, (kv, 0))
-        return logits[:, -1], (kv, anchor.shape[1])
+        return logits[:, -1], (kv, anchor.shape[1], np.zeros(1, dtype=np.intp))
 
     def step(self, token_ids, past, parents):
-        """Append token_ids[i] to row parents[i] of `past`: returns (logits (beams,
-        vocab) for each new row's next token, the new past). In place, only rows
-        whose parent is another row move, gathered first, so parents may repeat;
-        the buffers regrow when the beam count rises and use their first rows when it falls."""
-        kv, start = past
-        parents = np.asarray(parents, dtype=np.intp)
-        grow = len(parents) > kv[0][0].shape[0]
-        moved = np.flatnonzero(grow | (parents != np.arange(len(parents))))
-        for i, layer in enumerate(kv):
-            if grow:
-                kv[i] = tuple(np.empty((len(parents),) + buf.shape[1:]) for buf in layer)
-            for old, new in zip(layer, kv[i]):
-                new[moved, :, :start] = old[parents[moved], :, :start]
-        embeds = self.base_lm.embed_tokens(token_ids)[:, None, :]
-        logits, _ = self.base_lm.forward_embeds(embeds, self.adapters, (kv, start))
-        return logits[:, -1], (kv, start + 1)
+        """Append token_ids[i] to beam parents[i] of `past`: returns (logits (beams,
+        vocab) for each new beam's next token, the new past). In place: a parent's first
+        child keeps its buffer row; a further child, or one whose parent's row lies past
+        the new beam count, copies that row into a row that no parent holds. The batch
+        runs in row order; the buffers regrow when the beam count passes their rows."""
+        kv, start, rows = past
+        src = rows[np.asarray(parents, dtype=np.intp)].tolist()    # each parent's row
+        n = len(src)
+        if n > kv[0][0].shape[0]:
+            for i, layer in enumerate(kv):
+                kv[i] = tuple(np.empty((n,) + buf.shape[1:]) for buf in layer)
+                for old, new in zip(layer, kv[i]):
+                    new[:len(old), :, :start] = old[:, :, :start]
+        moved = [i for i, row in enumerate(src) if row >= n or row in src[:i]]
+        free = sorted(set(range(n)) - set(src))    # rows that no parent holds
+        rows = np.array(src)
+        rows[moved] = free
+        for child, dst in zip(moved, free):
+            for layer in kv:
+                for buf in layer:
+                    buf[dst, :, :start] = buf[src[child], :, :start]
+        embeds = self.base_lm.embed_tokens(np.asarray(token_ids)[np.argsort(rows)])
+        logits, _ = self.base_lm.forward_embeds(embeds[:, None], self.adapters, (kv, start))
+        return logits[rows, -1], (kv, start + 1, rows)
 
     def perplexity(self, token_lists):
         """exp(mean NLL per token); lower is a better fit."""

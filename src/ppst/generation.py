@@ -31,7 +31,8 @@ index beam * vocab + token, so ties go to the lower beam, then the lower token.
 The model is driven through its step API only (see StyledLanguageModel):
 `prefill(prefix)` runs the anchor once, then each step calls
 `step(newest tokens, past, parents)` with the parent beam of every live
-row. The past is opaque here: the model reorders and extends it in place.
+row. The past is opaque here: the model extends it in place and keeps its own
+map from beams to buffer rows, so a step copies only what a second child needs.
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ class DecodeConfig:
     def __post_init__(self):
         if self.max_length is None:
             self.max_length = self.min_length + 256
+        for field in ("temperature", "repetition_penalty", "length_decay_factor"):
+            if not math.isfinite(getattr(self, field)):
+                raise ConfigurationError(f"DecodeConfig.{field} must be finite")
         for field, low in (("beam_size", 1), ("top_k", 1), ("no_repeat_ngram", 2),
                            ("length_decay_factor", 1), ("min_length", 0), ("max_length", 1)):
-            if not getattr(self, field) >= low:     # false for NaN too
+            if not getattr(self, field) >= low:
                 raise ConfigurationError(f"DecodeConfig.{field} must be >= {low}")
         for field in ("temperature", "repetition_penalty"):
             if not getattr(self, field) > 0:

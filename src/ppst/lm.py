@@ -86,15 +86,18 @@ class CausalTransformerLM:
     def embed_tokens(self, ids):
         return self.tok_emb.value[np.asarray(ids, dtype=np.intp)]
 
-    def forward_embeds(self, embeds, adapters=None, past=None):
+    def forward_embeds(self, embeds, adapters=None, past=None, backward=True):
         """embeds: (B, T, d_model) already in input-embedding space.
 
         `past=(kv, S)`, kv one (K, V) buffer pair per layer holding S positions
         (see nn.CausalSelfAttention), puts the embeds at positions S..S+T-1 (decode
         only): the logits equal one call over all S + T positions. Backward
-        needs `past=None`, which starts at position 0. The cache records the
-        adapters that ran, so backward goes through the same ones.
+        needs `past=None`, which starts at position 0, and `backward=True`;
+        otherwise the forward computes no GELU slope, keeps no cache and returns
+        None for it. The cache records the adapters that ran, so backward goes
+        through the same ones.
         """
+        backward = backward and past is None
         b, t, d = embeds.shape
         start = 0 if past is None else past[1]
         if start + t > self.config.max_seq_len:
@@ -105,15 +108,17 @@ class CausalTransformerLM:
         h = embeds + self.pos_emb.value[start:start + t]
         caches = []
         for i, block in enumerate(self.blocks):
-            h, c = block.forward(h, None if past is None else (*past[0][i], start))
+            layer_past = None if past is None else (*past[0][i], start)
+            h, c = block.forward(h, layer_past, backward)
             if adapters is not None:
                 h, ac = adapters[i].forward(h)
             else:
                 ac = None
-            caches.append((c, ac))
+            if backward:
+                caches.append((c, ac))
         hn, ln_cache = self.ln_f.forward(h)
         logits, _ = self.head.forward(hn)    # backward rebuilds hn from ln_cache
-        return logits, (caches, ln_cache, adapters)
+        return logits, (caches, ln_cache, adapters) if backward else None
 
     def backward(self, dlogits, cache):
         caches, ln_cache, adapters = cache
@@ -189,7 +194,7 @@ def batch_loss(lm, batch, adapters=None, prefix=None, backward=True):
     embeds = lm.embed_tokens(ids)
     if p:
         embeds[:, :p] = prefix
-    logits, cache = lm.forward_embeds(embeds, adapters)
+    logits, cache = lm.forward_embeds(embeds, adapters, backward=backward)
     loss, dlogits = nn.masked_cross_entropy(logits, targets, mask)
     if not backward:
         return loss, None
@@ -208,7 +213,8 @@ def sequence_nll(lm, token_lists, adapters=None, batch_size=16):
         chunk = token_lists[start: start + batch_size]
         inputs, targets, mask = teacher_forced_batch(chunk, lm.tokenizer,
                                                      lm.config.max_seq_len)
-        logp = nn.log_softmax(lm.forward_embeds(lm.embed_tokens(inputs), adapters)[0])
+        logp = nn.log_softmax(   # the logits die here, before the next batch's forward
+            lm.forward_embeds(lm.embed_tokens(inputs), adapters, backward=False)[0])
         nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
         total_nll += float((nll * mask).sum())
         total_tokens += int(mask.sum())

@@ -284,10 +284,9 @@ def evaluate_run(records, references, encoder=None, scorer_endpoint=None,
     without references are skipped with a per-item diagnostic.
     """
     if not 0 < scorer_timeout <= 86400:     # false for NaN too
-        raise ConfigurationError(f"scorer_timeout must be in (0, 86400] seconds, "
-                                 f"not {scorer_timeout}")
+        raise ConfigurationError("evaluate_run.scorer_timeout must be in (0, 86400] seconds")
     if not 0 < clip_weight < math.inf:
-        raise ConfigurationError(f"clip_weight must be positive and finite, not {clip_weight}")
+        raise ConfigurationError("evaluate_run.clip_weight must be positive and finite")
     report = MetricReport()
     evaluable = []
     for i, record in enumerate(records):

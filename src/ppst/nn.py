@@ -16,14 +16,14 @@ backward consumes (never on an input), in the operation order of the textbook
 expressions, so results are bit-equal to those (pinned in tests/test_nn.py). A training
 cache thus serves one backward: the MLP's writes its input gradient over the cached
 GELU output and empties the cache; a second raises. A training step holds the lower
-blocks' caches and one block's working set. A forward given a ``past`` (attention's k/v
-buffers) is decode-only: it writes k and v into the buffers in place, and the MLP
-caches no GELU slope, so no backward may follow. Every model trains through
-``train_loop``: per batch it zeroes the gradients, runs the batch forward and backward,
-checks the loss is finite and steps Adam; after each epoch it writes one log entry,
-{"epoch", "train_loss"[, "val_loss"]}, and may stop early on the validation loss. All
-math runs in float64; checkpoints store float32. The GELU's ``erf`` is scipy's own
-ufunc, loaded from its compiled module without importing ``scipy.special``.
+blocks' caches and one block's working set. A block forward with ``backward=False``
+computes no GELU slope and returns no cache, so no backward may follow; one given a
+``past`` (attention's k/v buffers, decode only) writes k and v into them in place. Every
+model trains through ``train_loop``: per batch it zeroes the gradients, runs the batch
+forward and backward, checks the loss is finite and steps Adam; after each epoch it
+writes one log entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop early on the
+validation loss. All math runs in float64; checkpoints store float32. The GELU's ``erf``
+is scipy's own ufunc, loaded from its compiled module without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -306,15 +306,15 @@ class TransformerBlock:
         self.ln2 = LayerNorm(d_model)
         self.mlp = Mlp(d_model, d_ff, rng)
 
-    def forward(self, x, past=None):
+    def forward(self, x, past=None, backward=True):
         n1, ln1_cache = self.ln1.forward(x)
         h, attn_cache = self.attn.forward(n1, past)
         del n1
         h += x    # x + a, in place on attention's output
         n2, ln2_cache = self.ln2.forward(h)
-        m, mlp_cache = self.mlp.forward(n2, past is None)
+        m, mlp_cache = self.mlp.forward(n2, backward)
         h += m
-        return h, (ln1_cache, attn_cache, ln2_cache, mlp_cache)
+        return h, (ln1_cache, attn_cache, ln2_cache, mlp_cache) if backward else None
 
     def backward(self, dy, cache):
         ln1_cache, attn_cache, ln2_cache, mlp_cache = cache

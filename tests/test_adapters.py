@@ -311,11 +311,11 @@ def test_text_trainer_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     earlier = []
     forwards = []
 
-    def tracked(self, embeds, adapters=None):
+    def tracked(self, embeds, adapters=None, **kwargs):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
-        logits, cache = forward(self, embeds, adapters)
-        _, (ln_f_xhat, _), _ = cache
-        earlier[:] = [weakref.ref(logits), weakref.ref(ln_f_xhat)]
+        logits, cache = forward(self, embeds, adapters, **kwargs)
+        kept = [logits] if cache is None else [logits, cache[1][0]]    # validation: no cache
+        earlier[:] = [weakref.ref(array) for array in kept]
         forwards.append(len(embeds))
         return logits, cache
 

@@ -761,7 +761,9 @@ def test_scorer_timeout_that_is_not_positive_exits_2(tmp_path, capsys, monkeypat
     capsys.readouterr()
     assert main(evaluate) == 2
     err = capsys.readouterr().err
-    assert "scorer_timeout" in err and "Traceback" not in err, err
+    assert (f"config key eval.scorer_timeout = {json.dumps(timeout)}: "
+            "evaluate_run.scorer_timeout must be in (0, 86400] seconds\n") in err, err
+    assert "Traceback" not in err, err
     assert not (tmp_path / "runs").exists()
 
 
@@ -773,22 +775,26 @@ def test_clip_weight_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, w
     capsys.readouterr()
     assert main(evaluate) == 2
     err = capsys.readouterr().err
-    assert "clip_weight" in err and "Traceback" not in err, err
+    assert (f"config key eval.clip_weight = {json.dumps(weight)}: "
+            "evaluate_run.clip_weight must be positive and finite\n") in err, err
+    assert "Traceback" not in err, err
     assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("key", ("temperature", "repetition_penalty", "length_decay_factor"))
 def test_nan_decode_value_exits_2_before_generate(trained, tmp_path, capsys, key):
-    tmp, _, cfg = trained
-    cfg = dict(cfg, decode=dict(cfg["decode"], **{key: math.nan}))
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    before = run_dirs(cfg, "generate-")
-    capsys.readouterr()
-    assert main(["--config", str(tmp_path / "config.json"), "generate", "--style", "plain",
-                 "--images", str(tmp / "images")]) == 2
-    err = capsys.readouterr().err
-    assert f"config key decode.{key} = NaN: DecodeConfig.{key} must be " in err, err
-    assert "Traceback" not in err and run_dirs(cfg, "generate-") == before, err
+    tmp, _, base = trained
+    for value in (math.nan, math.inf, -math.inf):
+        cfg = dict(base, decode=dict(base["decode"], **{key: value}))
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        before = run_dirs(cfg, "generate-")
+        capsys.readouterr()
+        assert main(["--config", str(tmp_path / "config.json"), "generate", "--style",
+                     "plain", "--images", str(tmp / "images")]) == 2
+        err = capsys.readouterr().err
+        assert (f"config key decode.{key} = {json.dumps(value)}: DecodeConfig.{key} must be "
+                "finite") in err, err
+        assert "Traceback" not in err and run_dirs(cfg, "generate-") == before, err
 
 
 def test_generate_error_line_is_skipped_by_evaluate(tmp_path, capsys):

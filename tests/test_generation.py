@@ -42,7 +42,11 @@ def test_max_length_defaults_to_min_plus_256():
                                 dict(repetition_penalty=0.0),
                                 dict(length_decay_factor=0.9), dict(temperature=math.nan),
                                 dict(repetition_penalty=math.nan),
-                                dict(length_decay_factor=math.nan)])
+                                dict(length_decay_factor=math.nan), dict(temperature=math.inf),
+                                dict(temperature=-math.inf), dict(repetition_penalty=math.inf),
+                                dict(repetition_penalty=-math.inf),
+                                dict(length_decay_factor=math.inf),
+                                dict(length_decay_factor=-math.inf)])
 def test_config_validation(kw):
     with pytest.raises(ConfigurationError):
         DecodeConfig(**kw)

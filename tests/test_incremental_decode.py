@@ -100,6 +100,46 @@ def test_incremental_logits_match_full_reforward_as_beams_shrink_and_grow(
             assert np.abs(row - want).max() <= TOL
 
 
+@pytest.mark.parametrize("with_adapters", [False, True])
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_incremental_logits_match_full_reforward_as_beams_shrink_onto_high_rows(
+        with_adapters, with_prefix):
+    """After a permuting step, the two surviving beams' rows lie at or past the new
+    beam count, so both are copied down."""
+    model = make_model(with_adapters, seed=3)
+    prefix = make_prefix(model, with_prefix)
+    rng = np.random.default_rng(6)
+    vocab = model.base_lm.config.vocab_size
+
+    logits, past = model.prefill(prefix)
+    beams = [()]
+    for parents in [[0, 0, 0, 0], [3, 2, 1, 0], [0, 1], [1, 0, 1]]:
+        if len(parents) == 2:
+            assert past[2][parents].min() >= 2
+        tokens = [int(t) for t in rng.integers(0, vocab, size=len(parents))]
+        beams = [beams[p] + (tok,) for p, tok in zip(parents, tokens)]
+        logits, past = model.step(tokens, past, parents)
+        for row, ids in zip(logits, beams):
+            assert np.abs(row - model.next_token_logits(prefix, list(ids))).max() <= TOL
+
+
+def test_step_copies_a_parents_past_only_for_its_second_child():
+    model = make_model(False)
+    _, past = model.prefill(make_prefix(model, True))
+    _, past = model.step([1, 2, 3, 4, 5], past, [0] * 5)
+    kv, start, rows = past
+    bufs = [buf for layer in kv for buf in layer]
+    for buf in bufs:
+        buf[rows, :, :start] = np.arange(5.0)[:, None, None, None]    # beam i's sentinel
+    before = [buf[:, :, :start].copy() for buf in bufs]
+    _, (_, _, rows) = model.step([6, 7, 8, 9, 10], past, [0, 0, 1, 2, 3])
+    changed = {r for buf, old in zip(bufs, before) for r in range(5)
+               if not np.array_equal(buf[r, :, :start], old[r])}
+    assert changed == {rows[1]}     # only beam 0's second child is copied
+    for buf in bufs:
+        assert (buf[rows, :, :start] == np.array([0, 0, 1, 2, 3.0])[:, None, None, None]).all()
+
+
 def test_decode_forwards_compute_no_gelu_slope(monkeypatch):
     model = make_model(True)
     slopes = []
@@ -131,13 +171,13 @@ def test_step_allocates_far_less_than_the_past():
         _, past = model.step(rng.integers(0, vocab, size=len(parents)), past,
                              parents)
         parents = rng.integers(0, 5, size=5)
-    kv, start = past
+    kv, start, _ = past
     assert start >= 100
     past_bytes = sum(buf[:5, :, :start].nbytes for layer in kv for buf in layer)
     tokens = rng.integers(0, vocab, size=5)
     tracemalloc.start()
     try:
-        model.step(tokens, past, [4, 4, 0, 1, 2])       # every row moves, one parent twice
+        model.step(tokens, past, [4, 4, 0, 1, 2])       # one parent twice: one row copied
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

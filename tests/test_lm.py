@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, grad_close
+from ppst import nn
 from ppst.errors import CompatibilityError, ConfigurationError
 from ppst.adapters import StyledLanguageModel
-from ppst.lm import LmConfig, batch_loss, pad_batch, shifted_batch, teacher_forced_batch
+from ppst.lm import (LmConfig, batch_loss, pad_batch, sequence_nll, shifted_batch,
+                     teacher_forced_batch)
 
 
 def test_forward_shapes(tiny_lm):
@@ -74,6 +76,26 @@ def test_full_model_gradients(tiny_lm):
         for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
             fd = central_difference(lambda: loss_fn(), flat, i)
             assert grad_close(fd, grad[i]), name
+
+
+def test_validation_forwards_compute_no_gelu_slope(tiny_lm, monkeypatch):
+    """`sequence_nll` and `batch_loss(..., backward=False)` run forward only, with
+    the logits of a training forward."""
+    embeds = tiny_lm.embed_tokens([[4, 5, 6], [7, 8, 9]])
+    logits, cache = tiny_lm.forward_embeds(embeds)
+    forward_only, none = tiny_lm.forward_embeds(embeds, backward=False)
+    assert np.array_equal(forward_only, logits) and cache is not None and none is None
+    slopes = []
+    gelu = nn._gelu_fwd
+
+    def recording(x, backward=True, out=None):
+        slopes.append(backward)
+        return gelu(x, backward, out)
+
+    monkeypatch.setattr(nn, "_gelu_fwd", recording)
+    sequence_nll(tiny_lm, [[4, 5, 6], [7, 8]])
+    batch_loss(tiny_lm, teacher_forced_batch([[4, 5]], tiny_lm.tokenizer, 8), backward=False)
+    assert slopes == [False] * 2 * tiny_lm.config.n_layer
 
 
 def test_batch_loss_gradients_with_a_prefix(tiny_lm):

@@ -192,9 +192,9 @@ def test_train_mapper_holds_one_batch_at_a_time(tiny_lm, monkeypatch):
     earlier = []
     forwards = []
 
-    def tracked(self, embeds, adapters=None, past=None):
+    def tracked(self, embeds, *args, **kwargs):
         assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
-        logits, cache = forward(self, embeds, adapters, past)
+        logits, cache = forward(self, embeds, *args, **kwargs)
         _, (ln_f_xhat, _), _ = cache
         earlier[:] = [weakref.ref(logits), weakref.ref(ln_f_xhat)]
         forwards.append(len(embeds))
