@@ -4,10 +4,12 @@ One adapter block sits on top of each transformer layer:
 
     out = h + up_proj(act(down_proj(layernorm(h))))
 
-The up projection starts at zero, so a fresh adapter set is exactly the
-identity and the composed model reproduces the plain LM. Training one set per
-genre on style-filtered passages gives a swappable, plug-and-play stylistic
-LM; the base weights are never touched. `train_full_finetune` covers the
+The bottleneck is an `nn.Mlp`, whose fc and out a checkpoint names `down` and
+`up`. The up projection starts at zero, so a fresh adapter set is exactly the
+identity and the composed model reproduces the plain LM. A forward that no
+backward follows (decode, validation) computes no activation slope. Training
+one set per genre on style-filtered passages gives a swappable, plug-and-play
+stylistic LM; the base weights are never touched. `train_full_finetune` covers the
 non-styled comparison system (all LM parameters trained, no adapters). The adapters,
 the fine-tune, the mapper and base-LM pretraining all train through `nn.train_loop`
 and score their batches with `lm.batch_loss`. A set sizes its bottleneck to its LM
@@ -54,30 +56,26 @@ class AdapterBlock:
     def __init__(self, lm_hidden_dim, config: AdapterConfig, rng):
         config = config.sized(lm_hidden_dim)
         self.ln = nn.LayerNorm(lm_hidden_dim)
-        self.down = nn.Linear(lm_hidden_dim, config.bottleneck_dim, rng)
-        self.up = nn.Linear(config.bottleneck_dim, lm_hidden_dim, rng)
-        self.up.w.value[...] = 0.0   # start as the identity map
-        self.up.b.value[...] = 0.0
-        self.act_fwd, self.act_bwd = nn.get_activation(config.activation)
+        self.mlp = nn.Mlp(lm_hidden_dim, config.bottleneck_dim, rng,
+                          activation=config.activation)
+        self.mlp.out.w.value[...] = 0.0   # start as the identity map
+        self.mlp.out.b.value[...] = 0.0
 
-    def forward(self, h):
+    def forward(self, h, backward=True):
         n, ln_cache = self.ln.forward(h)
-        d, _ = self.down.forward(n)    # backward rebuilds n from ln_cache
-        a, act_cache = self.act_fwd(d)
-        u, up_cache = self.up.forward(a)
-        return h + u, (ln_cache, act_cache, up_cache)
+        u, mlp_cache = self.mlp.forward(n, backward)    # backward rebuilds n from ln_cache
+        u += h
+        return u, (ln_cache, mlp_cache) if backward else None
 
     def backward(self, dy, cache):
-        ln_cache, act_cache, up_cache = cache
-        da = self.up.backward(dy, up_cache)
-        dd = self.act_bwd(da, act_cache)
-        dn = self.down.backward(dd, self.ln.affine(ln_cache[0]))
+        ln_cache, mlp_cache = cache
+        dn = self.mlp.backward(dy, mlp_cache, self.ln.affine(ln_cache[0]))
         return dy + self.ln.backward(dn, ln_cache)
 
     def params(self, prefix):
         return {**self.ln.params(f"{prefix}.ln"),
-                **self.down.params(f"{prefix}.down"),
-                **self.up.params(f"{prefix}.up")}
+                **self.mlp.fc.params(f"{prefix}.down"),
+                **self.mlp.out.params(f"{prefix}.up")}
 
 
 class StyleAdapterSet:
@@ -262,8 +260,8 @@ class AdapterTrainConfig:
                            ("patience", 1)):
             if getattr(self, field) < low:
                 raise ConfigurationError(f"AdapterTrainConfig.{field} must be >= {low}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("AdapterTrainConfig.learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError("AdapterTrainConfig.learning_rate must be positive and finite")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError("AdapterTrainConfig.val_fraction must be in [0, 1)")
 

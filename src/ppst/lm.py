@@ -93,8 +93,8 @@ class CausalTransformerLM:
         (see nn.CausalSelfAttention), puts the embeds at positions S..S+T-1 (decode
         only): the logits equal one call over all S + T positions. Backward
         needs `past=None`, which starts at position 0, and `backward=True`;
-        otherwise the forward computes no GELU slope, keeps no cache and returns
-        None for it. The cache records the adapters that ran, so backward goes
+        otherwise no block or adapter computes an activation slope or keeps a
+        cache, and the forward returns None for it. The cache records the adapters that ran, so backward goes
         through the same ones.
         """
         backward = backward and past is None
@@ -111,7 +111,7 @@ class CausalTransformerLM:
             layer_past = None if past is None else (*past[0][i], start)
             h, c = block.forward(h, layer_past, backward)
             if adapters is not None:
-                h, ac = adapters[i].forward(h)
+                h, ac = adapters[i].forward(h, backward)
             else:
                 ac = None
             if backward:

@@ -1,7 +1,8 @@
 """Trainable mapping network: image embedding -> fixed-length LM prefix.
 
-A two-layer feed-forward net projects the frozen encoder's d_e-dimensional
-embedding to prefix_length rows in the LM's input-embedding space. Training
+An `nn.Mlp` (fc1 -> activation -> fc2, as a checkpoint names its fc and out)
+projects the frozen encoder's d_e-dimensional embedding to prefix_length rows
+in the LM's input-embedding space; `map_prefix` runs it forward only. Training
 maximizes caption likelihood through the frozen LM, updating only the mapper.
 Its batches are the text trainers' layout (`lm.shifted_batch`) with the prefix
 in the bos slot, so only caption positions carry loss, scored by their
@@ -48,45 +49,37 @@ class MapperTrainConfig:
         for field, low in (("max_epochs", 1), ("batch_size", 1), ("max_seq_len", 2)):
             if getattr(self, field) < low:
                 raise ConfigurationError(f"MapperTrainConfig.{field} must be >= {low}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("MapperTrainConfig.learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError("MapperTrainConfig.learning_rate must be positive and finite")
 
 
 class PrefixMapper:
     def __init__(self, config: MapperConfig, seed=0):
         self.config = config
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.fc1 = nn.Linear(config.input_dim, config.hidden_dim, rng)
-        self.fc2 = nn.Linear(config.hidden_dim,
-                             config.prefix_length * config.lm_embed_dim, rng)
-        self.act_fwd, self.act_bwd = nn.get_activation(config.activation)
+        self.mlp = nn.Mlp(config.input_dim, config.hidden_dim, np.random.default_rng(seed),
+                          config.prefix_length * config.lm_embed_dim, config.activation)
 
     def params(self):
-        return {**self.fc1.params("fc1"), **self.fc2.params("fc2")}
+        return {**self.mlp.fc.params("fc1"), **self.mlp.out.params("fc2")}
 
-    def forward_batch(self, x):
+    def forward_batch(self, x, backward=True):
         """(B, input_dim) -> (B, prefix_length, lm_embed_dim), row-major reshape."""
-        h, c1 = self.fc1.forward(x)
-        a, ca = self.act_fwd(h)
-        flat, c2 = self.fc2.forward(a)
+        flat, mlp_cache = self.mlp.forward(x, backward)
         prefix = flat.reshape(x.shape[0], self.config.prefix_length,
                               self.config.lm_embed_dim)
-        return prefix, (c1, ca, c2)
+        return prefix, (x, mlp_cache)
 
     def backward_batch(self, dprefix, cache):
-        c1, ca, c2 = cache
-        dflat = dprefix.reshape(dprefix.shape[0], -1)
-        da = self.fc2.backward(dflat, c2)
-        dh = self.act_bwd(da, ca)
-        return self.fc1.backward(dh, c1)
+        x, mlp_cache = cache
+        return self.mlp.backward(dprefix.reshape(dprefix.shape[0], -1), mlp_cache, x)
 
     def map_prefix(self, embedding: np.ndarray) -> np.ndarray:
         """The (prefix_length, lm_embed_dim) prefix of one (input_dim,) embedding."""
         if np.shape(embedding) != (self.config.input_dim,):
             raise ConfigurationError(f"embedding shape {np.shape(embedding)} != "
                                      f"mapper input ({self.config.input_dim},)")
-        prefix, _ = self.forward_batch(np.asarray(embedding)[None, :])
+        prefix, _ = self.forward_batch(np.asarray(embedding)[None, :], backward=False)
         return prefix[0]
 
     def save(self, directory, extra_manifest=None):

@@ -6,24 +6,27 @@ owns a gradient buffer only after its first ``zero_grad``; one never trained, or
 by ``freeze_params``, has none (``grad`` is None), so backward skips its products and
 only carries ``dx`` through. Caches are passed explicitly so forward-only inference is
 stateless and safe to run concurrently. A cache holds what backward reads and cannot
-rebuild cheaply: a Linear's input, LayerNorm's (xhat, 1/std), an activation's output
-(tanh), input (relu) or slope (gelu), and attention's q, k, v and weights. Backward
-rebuilds the rest with the forward's own operations, bit for bit: a LayerNorm output
-that feeds a Linear from xhat (``LayerNorm.affine``; it is the ``x`` of attention's and
-the MLP's ``backward(dy, cache, x)``), and attention's context from its weights and v.
-Layers and ``Adam.step`` work in place on their own arrays and on the cache that their
-backward consumes (never on an input), in the operation order of the textbook
+rebuild cheaply: a Linear's input, LayerNorm's (xhat, 1/std), an activation's slope, and
+attention's q, k, v and weights. Backward rebuilds the rest with the forward's own
+operations, bit for bit: a LayerNorm output that feeds a Linear from xhat
+(``LayerNorm.affine``; it is the ``x`` of attention's and the MLP's
+``backward(dy, cache, x)``), and attention's context from its weights and v. ``Mlp``
+(fc -> activation -> out) is the transformer block's MLP, the style adapter's bottleneck
+and the prefix mapper; each activation returns its output and, if backward follows, its
+slope. Layers and ``Adam.step`` work in place on their own arrays and on the cache that
+their backward consumes (never on an input), in the operation order of the textbook
 expressions, so results are bit-equal to those (pinned in tests/test_nn.py). A training
-cache thus serves one backward: the MLP's writes its input gradient over the cached
-GELU output and empties the cache; a second raises. A training step holds the lower
-blocks' caches and one block's working set. A block forward with ``backward=False``
-computes no GELU slope and returns no cache, so no backward may follow; one given a
-``past`` (attention's k/v buffers, decode only) writes k and v into them in place. Every
-model trains through ``train_loop``: per batch it zeroes the gradients, runs the batch
-forward and backward, checks the loss is finite and steps Adam; after each epoch it
-writes one log entry, {"epoch", "train_loss"[, "val_loss"]}, and may stop early on the
-validation loss. All math runs in float64; checkpoints store float32. The GELU's ``erf``
-is scipy's own ufunc, loaded from its compiled module without importing ``scipy.special``.
+cache thus serves one backward: the MLP's writes its hidden gradient over the cached
+activation output, multiplies the slope in and empties the cache; a second raises. A
+training step holds the lower blocks' caches and one block's working set. A block
+forward with ``backward=False`` computes no slope and returns no cache, so no backward
+may follow; one given a ``past`` (attention's k/v buffers, decode only) writes k and v
+into them in place. Every model trains through ``train_loop``: per batch it zeroes the
+gradients, runs the batch forward and backward, checks the loss is finite and steps
+Adam; after each epoch it writes one log entry, {"epoch", "train_loss"[, "val_loss"]},
+and may stop early on the validation loss. All math runs in float64; checkpoints store
+float32. The GELU's ``erf`` is scipy's own ufunc, loaded from its compiled module
+without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -96,25 +99,18 @@ def _scipy_erf():
 erf = _scipy_erf()
 
 
-def _tanh_fwd(x):
-    y = np.tanh(x)
-    return y, y
+def _tanh(x, backward=True, out=None):
+    y = np.tanh(x, out=out)
+    return y, (1.0 - y * y if backward else None)
 
 
-def _tanh_bwd(dy, y):
-    return dy * (1.0 - y * y)
+def _relu(x, backward=True, out=None):
+    y = np.maximum(x, 0.0, out=out)
+    return y, (y > 0.0 if backward else None)
 
 
-def _relu_fwd(x):
-    return np.maximum(x, 0.0), x
-
-
-def _relu_bwd(dy, x):
-    return dy * (x > 0.0)
-
-
-def _gelu_fwd(x, backward=True, out=None):
-    """x * cdf(x) into `out` (may be x), caching cdf(x) + x * pdf(x) if backward follows."""
+def _gelu(x, backward=True, out=None):
+    """x * cdf(x), with slope cdf(x) + x * pdf(x) if backward follows."""
     cdf = x / math.sqrt(2.0)
     erf(cdf, out=cdf)
     cdf += 1.0
@@ -131,15 +127,8 @@ def _gelu_fwd(x, backward=True, out=None):
     return np.multiply(x, cdf, out=out), slope
 
 
-def _gelu_bwd(dy, slope):
-    return dy * slope
-
-
-ACTIVATIONS = {
-    "tanh": (_tanh_fwd, _tanh_bwd),
-    "relu": (_relu_fwd, _relu_bwd),
-    "gelu": (_gelu_fwd, _gelu_bwd),
-}
+# act(x, backward=True, out=None) -> (y into `out`, which may be x; dy/dx or None)
+ACTIVATIONS = {"tanh": _tanh, "relu": _relu, "gelu": _gelu}
 
 
 def get_activation(name):
@@ -276,21 +265,24 @@ class CausalSelfAttention:
 
 
 class Mlp:
-    def __init__(self, d_model, d_ff, rng):
-        self.fc = Linear(d_model, d_ff, rng)
-        self.out = Linear(d_ff, d_model, rng)
+    """fc -> activation -> out; `activation` names an `ACTIVATIONS` entry."""
+
+    def __init__(self, d_in, d_hidden, rng, d_out=None, activation="gelu"):
+        self.fc = Linear(d_in, d_hidden, rng)
+        self.out = Linear(d_hidden, d_in if d_out is None else d_out, rng)
+        self.activation = activation
 
     def forward(self, x, backward=True):
         h, _ = self.fc.forward(x)
-        a, slope = _gelu_fwd(h, backward, out=h)    # the GELU output replaces h
+        a, slope = ACTIVATIONS[self.activation](h, backward, out=h)    # a replaces h
         y, _ = self.out.forward(a)
         return y, [a, slope]
 
     def backward(self, dy, cache, x):
-        if not cache:    # an earlier backward overwrote its GELU output
+        if not cache:    # an earlier backward overwrote its activation output
             raise ConfigurationError("Mlp.backward: cache already consumed by a backward")
-        da = self.out.backward(dy, cache[0], out=cache.pop(0))    # over the GELU output
-        da *= cache.pop()    # _gelu_bwd in place; the cache is now empty
+        da = self.out.backward(dy, cache[0], out=cache.pop(0))    # over the activation output
+        da *= cache.pop()    # the slope, in place; the cache is now empty
         return self.fc.backward(da, x)
 
     def params(self, prefix):

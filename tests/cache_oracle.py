@@ -4,17 +4,31 @@ The reference for the layers that rebuild arrays in backward: each function
 here is one layer's training forward or backward with a cache that keeps
 the LayerNorm outputs that feed a Linear (the attention and MLP inputs, the
 LM head input and the adapter's down-projection input) and the attention
-context (the proj input). It calls the same `Linear`, `LayerNorm.forward`,
-`LayerNorm.backward` and activation functions as the package, so any
-difference from the package's layers comes from the rebuilt arrays. Training
-only: no `past`, which is decode.
+context (the proj input). It calls the same `Linear`, `LayerNorm.forward` and
+`LayerNorm.backward` as the package, so any difference from the package's
+layers comes from the rebuilt arrays or the activations. Its activations are
+its own `(forward, backward)` pairs, each backward a fresh `dy * f'(x)`, not
+the package's in-place slopes. Training only: no `past`, which is decode.
 """
 
 import math
 
 import numpy as np
 
-from ppst import nn
+from ppst.nn import erf
+
+
+def _gelu_fwd(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * cdf, cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
+
+# name: (x -> (y, cache), (dy, cache) -> dx)
+ACTIVATIONS = {
+    "tanh": (lambda x: (np.tanh(x),) * 2, lambda dy, y: dy * (1.0 - y * y)),
+    "relu": (lambda x: (np.maximum(x, 0.0), x), lambda dy, x: dy * (x > 0.0)),
+    "gelu": (_gelu_fwd, lambda dy, slope: dy * slope),
+}
 
 
 def attention_forward(attn, x):
@@ -52,16 +66,16 @@ def attention_backward(attn, dy, cache):
 
 def mlp_forward(mlp, x):
     h, fc_cache = mlp.fc.forward(x)
-    a, slope = nn.get_activation("gelu")[0](h)
+    a, act_cache = ACTIVATIONS[mlp.activation][0](h)
     y, out_cache = mlp.out.forward(a)
-    return y, (fc_cache, slope, out_cache)
+    return y, (fc_cache, act_cache, out_cache)
 
 
 def mlp_backward(mlp, dy, cache):
-    fc_cache, slope, out_cache = cache
+    fc_cache, act_cache, out_cache = cache
     da = mlp.out.backward(dy, out_cache)
-    da *= slope
-    return mlp.fc.backward(da, fc_cache)
+    dh = ACTIVATIONS[mlp.activation][1](da, act_cache)
+    return mlp.fc.backward(dh, fc_cache)
 
 
 def block_forward(block, x):
@@ -83,17 +97,13 @@ def block_backward(block, dy, cache):
 
 def adapter_forward(adapter, h):
     n, ln_cache = adapter.ln.forward(h)
-    d, down_cache = adapter.down.forward(n)
-    a, act_cache = adapter.act_fwd(d)
-    u, up_cache = adapter.up.forward(a)
-    return h + u, (ln_cache, down_cache, act_cache, up_cache)
+    u, mlp_cache = mlp_forward(adapter.mlp, n)
+    return h + u, (ln_cache, mlp_cache)
 
 
 def adapter_backward(adapter, dy, cache):
-    ln_cache, down_cache, act_cache, up_cache = cache
-    da = adapter.up.backward(dy, up_cache)
-    dd = adapter.act_bwd(da, act_cache)
-    dn = adapter.down.backward(dd, down_cache)
+    ln_cache, mlp_cache = cache
+    dn = mlp_backward(adapter.mlp, dy, mlp_cache)
     return dy + adapter.ln.backward(dn, ln_cache)
 
 

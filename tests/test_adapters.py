@@ -28,8 +28,8 @@ def test_adapter_forward_matches_direct_formula():
     block = fresh_block(dim=8, bottleneck=3, seed=1)
     rng = np.random.default_rng(2)
     # give every parameter a nonzero value, then evaluate the published formula
-    block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape)
-    block.up.b.value[...] = rng.standard_normal(8)
+    block.mlp.out.w.value[...] = rng.standard_normal(block.mlp.out.w.value.shape)
+    block.mlp.out.b.value[...] = rng.standard_normal(8)
     block.ln.gain.value[...] = rng.standard_normal(8)
     block.ln.bias.value[...] = rng.standard_normal(8)
     h = rng.standard_normal(8)
@@ -37,8 +37,8 @@ def test_adapter_forward_matches_direct_formula():
     mu = h.mean()
     var = ((h - mu) ** 2).mean()
     normed = (h - mu) / np.sqrt(var + 1e-5) * block.ln.gain.value + block.ln.bias.value
-    down = normed @ block.down.w.value + block.down.b.value
-    up = np.maximum(down, 0.0) @ block.up.w.value + block.up.b.value
+    down = normed @ block.mlp.fc.w.value + block.mlp.fc.b.value
+    up = np.maximum(down, 0.0) @ block.mlp.out.w.value + block.mlp.out.b.value
     expected = h + up
 
     assert np.allclose(block.forward(h)[0], expected, atol=1e-6)
@@ -52,7 +52,7 @@ def test_zero_up_projection_is_exact_identity():
 
 def test_zero_input_zero_biases_gives_zero():
     block = fresh_block()
-    block.down.b.value[...] = 0.0
+    block.mlp.fc.b.value[...] = 0.0
     assert np.array_equal(block.forward(np.zeros(8))[0], np.zeros(8))
 
 
@@ -69,7 +69,7 @@ def test_default_bottleneck_is_an_eighth():
     adapter_set = StyleAdapterSet("x", make_tiny_lm(d_model=64), config)
     assert config.bottleneck_dim == 0 and adapter_set.config.bottleneck_dim == 8
     assert adapter_set.config.activation == "gelu"
-    assert adapter_set.blocks[0].down.w.value.shape == (64, 8)
+    assert adapter_set.blocks[0].mlp.fc.w.value.shape == (64, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,8 @@ def test_freezing_the_lm_leaves_adapter_gradients_bit_equal(tiny_lm):
     adapter_set = StyleAdapterSet("romance", tiny_lm, AdapterConfig(bottleneck_dim=3))
     rng = np.random.default_rng(4)
     for block in adapter_set.blocks:     # away from the zero-init identity
-        block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape)
-        block.up.b.value[...] = rng.standard_normal(block.up.b.value.shape)
+        block.mlp.out.w.value[...] = rng.standard_normal(block.mlp.out.w.value.shape)
+        block.mlp.out.b.value[...] = rng.standard_normal(block.mlp.out.b.value.shape)
     ids = rng.integers(0, tiny_lm.config.vocab_size, size=(2, 6))
     dlogits = rng.standard_normal((2, 6, tiny_lm.config.vocab_size))
 

@@ -211,6 +211,22 @@ def test_every_numeric_value_is_checked_at_load(tmp_path, capsys, section, key, 
     assert "Traceback" not in err and not (tmp_path / "runs").exists(), err
 
 
+@pytest.mark.parametrize("section, owner", [("lm", "AdapterTrainConfig"),
+                                            ("mapper", "MapperTrainConfig"),
+                                            ("adapters", "AdapterTrainConfig")])
+def test_infinite_learning_rate_exits_2_at_load(tmp_path, capsys, section, owner):
+    """JSON `Infinity` parses, and an infinite step would train non-finite weights."""
+    cfg = workspace_config(tmp_path)
+    cfg.setdefault(section, {})["learning_rate"] = math.inf
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(config_path), "build-corpus"]) == 2
+    err = capsys.readouterr().err
+    assert (f"config key {section}.learning_rate = Infinity: {owner}.learning_rate must be "
+            "positive and finite") in err, err
+    assert "Traceback" not in err and not (tmp_path / "runs").exists(), err
+
+
 def test_load_builds_the_encoder_only_for_a_changed_encoder_section(tmp_path, monkeypatch):
     """The default encoder's projection is the one costly build of the load check."""
     from ppst import cli

@@ -45,7 +45,7 @@ def sweep():
 
 def gelu(x):
     with np.errstate(invalid="ignore"):      # x * cdf(x) at -inf is NaN
-        return nn.get_activation("gelu")[0](x, backward=False)[0]
+        return nn.get_activation("gelu")(x, backward=False)[0]
 
 
 def same_bits(a, b):
@@ -103,7 +103,7 @@ def test_fallback_without_the_compiled_module(tmp_path):
         "from ppst import nn\n"
         "print(finder.find_spec is real, 'scipy.special' in sys.modules)\n"
         "with np.errstate(invalid='ignore'):\n"
-        "    np.save('out.npy', nn.get_activation('gelu')[0](np.load('x.npy'), False)[0])",
+        "    np.save('out.npy', nn.get_activation('gelu')(np.load('x.npy'), False)[0])",
         tmp_path)
     assert out.split() == ["True", "True"]
     assert same_bits(np.load(tmp_path / "out.npy"), gelu(x))

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import StatelessLM, make_tiny_lm
 from ppst import nn
-from ppst.adapters import StyleAdapterSet, StyledLanguageModel, attach
+from ppst.adapters import AdapterConfig, StyleAdapterSet, StyledLanguageModel, attach
 from ppst.errors import ConfigurationError
 from ppst.generation import DecodeConfig, generate
 from ppst.lm import CausalTransformerLM
@@ -28,16 +28,16 @@ SHRINK_GROW_PARENTS = [[0, 0, 0, 0], [3, 1, 0, 2], [2, 0], [1, 1, 0], [0], [0, 0
                        [4, 3, 2, 1, 0], [1, 1], [0, 1, 1, 0, 1, 0]]
 
 
-def make_model(with_adapters, seed=0):
+def make_model(with_adapters, seed=0, activation="relu"):
     lm = make_tiny_lm(n_words=12, n_layer=2, n_head=2, d_model=8, d_ff=16,
                       max_seq_len=32, seed=seed + 1)
     if not with_adapters:
         return StyledLanguageModel(lm, None, "plain")
-    adapter_set = StyleAdapterSet("romance", lm, seed=seed)
+    adapter_set = StyleAdapterSet("romance", lm, AdapterConfig(activation=activation), seed)
     rng = np.random.default_rng(seed)
     for block in adapter_set.blocks:     # away from the zero-init identity
-        block.up.w.value[...] = rng.standard_normal(block.up.w.value.shape) * 0.5
-        block.up.b.value[...] = rng.standard_normal(block.up.b.value.shape) * 0.1
+        block.mlp.out.w.value[...] = rng.standard_normal(block.mlp.out.w.value.shape) * 0.5
+        block.mlp.out.b.value[...] = rng.standard_normal(block.mlp.out.b.value.shape) * 0.1
     return attach(lm, adapter_set)
 
 
@@ -140,21 +140,24 @@ def test_step_copies_a_parents_past_only_for_its_second_child():
         assert (buf[rows, :, :start] == np.array([0, 0, 1, 2, 3.0])[:, None, None, None]).all()
 
 
-def test_decode_forwards_compute_no_gelu_slope(monkeypatch):
-    model = make_model(True)
+@pytest.mark.parametrize("adapter_activation", ["relu", "gelu"])
+def test_decode_forwards_compute_no_gelu_slope(monkeypatch, adapter_activation):
+    """Neither the LM's MLPs nor GELU adapters compute a slope in prefill or step."""
+    model = make_model(True, activation=adapter_activation)
+    gelus = 2 * (1 + (adapter_activation == "gelu"))     # per forward, over two layers
     slopes = []
-    gelu = nn._gelu_fwd
+    gelu = nn.ACTIVATIONS["gelu"]
 
     def recording(x, backward=True, out=None):
         slopes.append(backward)
         return gelu(x, backward, out)
 
-    monkeypatch.setattr(nn, "_gelu_fwd", recording)
+    monkeypatch.setitem(nn.ACTIVATIONS, "gelu", recording)
     _, past = model.prefill(make_prefix(model, True))
     model.step([1, 2], past, [0, 0])
-    assert slopes == [False] * 4          # two layers, in prefill and in one step
-    model.base_lm.forward_embeds(model.base_lm.embed_tokens([[1, 2]]))
-    assert slopes[4:] == [True, True]     # a forward that backward may follow
+    assert slopes == [False] * 2 * gelus          # in prefill and in one step
+    model.base_lm.forward_embeds(model.base_lm.embed_tokens([[1, 2]]), model.adapters)
+    assert slopes[2 * gelus:] == [True] * gelus   # a forward that backward may follow
 
 
 def test_step_allocates_far_less_than_the_past():

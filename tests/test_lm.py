@@ -6,7 +6,7 @@ import pytest
 from conftest import central_difference, grad_close
 from ppst import nn
 from ppst.errors import CompatibilityError, ConfigurationError
-from ppst.adapters import StyledLanguageModel
+from ppst.adapters import AdapterConfig, StyleAdapterSet, StyledLanguageModel
 from ppst.lm import (LmConfig, batch_loss, pad_batch, sequence_nll, shifted_batch,
                      teacher_forced_batch)
 
@@ -78,24 +78,34 @@ def test_full_model_gradients(tiny_lm):
             assert grad_close(fd, grad[i]), name
 
 
-def test_validation_forwards_compute_no_gelu_slope(tiny_lm, monkeypatch):
+@pytest.mark.parametrize("adapter_activation", [None, "gelu"])
+def test_validation_forwards_compute_no_gelu_slope(tiny_lm, monkeypatch, adapter_activation):
     """`sequence_nll` and `batch_loss(..., backward=False)` run forward only, with
-    the logits of a training forward."""
+    the logits of a training forward, through the LM's MLPs and GELU adapters alike."""
+    adapters = None
+    if adapter_activation:
+        adapter_set = StyleAdapterSet("romance", tiny_lm, AdapterConfig(activation="gelu"))
+        rng = np.random.default_rng(3)
+        for p in adapter_set.params().values():     # away from the zero-init identity
+            p.value[...] = rng.standard_normal(p.value.shape) * 0.5
+        adapters = adapter_set.blocks
     embeds = tiny_lm.embed_tokens([[4, 5, 6], [7, 8, 9]])
-    logits, cache = tiny_lm.forward_embeds(embeds)
-    forward_only, none = tiny_lm.forward_embeds(embeds, backward=False)
+    logits, cache = tiny_lm.forward_embeds(embeds, adapters)
+    forward_only, none = tiny_lm.forward_embeds(embeds, adapters, backward=False)
     assert np.array_equal(forward_only, logits) and cache is not None and none is None
     slopes = []
-    gelu = nn._gelu_fwd
+    gelu = nn.ACTIVATIONS["gelu"]
 
     def recording(x, backward=True, out=None):
         slopes.append(backward)
         return gelu(x, backward, out)
 
-    monkeypatch.setattr(nn, "_gelu_fwd", recording)
-    sequence_nll(tiny_lm, [[4, 5, 6], [7, 8]])
-    batch_loss(tiny_lm, teacher_forced_batch([[4, 5]], tiny_lm.tokenizer, 8), backward=False)
-    assert slopes == [False] * 2 * tiny_lm.config.n_layer
+    monkeypatch.setitem(nn.ACTIVATIONS, "gelu", recording)
+    sequence_nll(tiny_lm, [[4, 5, 6], [7, 8]], adapters)
+    batch_loss(tiny_lm, teacher_forced_batch([[4, 5]], tiny_lm.tokenizer, 8), adapters,
+               backward=False)
+    gelus = tiny_lm.config.n_layer * (1 + (adapters is not None))
+    assert slopes == [False] * 2 * gelus
 
 
 def test_batch_loss_gradients_with_a_prefix(tiny_lm):

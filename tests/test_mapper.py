@@ -1,9 +1,11 @@
 import hashlib
+import math
 import re
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conftest import (central_difference, grad_close, grads_unfrozen_and_frozen,
                       make_tiny_lm)
@@ -45,8 +47,8 @@ def test_default_prefix_length_is_10():
 
 def test_zero_input_zero_bias_gives_zero_prefix():
     mapper = small_mapper()
-    mapper.fc1.b.value[...] = 0.0
-    mapper.fc2.b.value[...] = 0.0
+    mapper.mlp.fc.b.value[...] = 0.0
+    mapper.mlp.out.b.value[...] = 0.0
     emb = np.zeros(4)
     assert np.array_equal(mapper.map_prefix(emb), np.zeros((3, 8)))
 
@@ -60,10 +62,51 @@ def test_dimension_mismatch_rejected():
 def test_row_major_reshape():
     mapper = small_mapper()
     flat = np.arange(3 * 8, dtype=float)
-    mapper.fc2.w.value[...] = 0.0
-    mapper.fc2.b.value[...] = flat
+    mapper.mlp.out.w.value[...] = 0.0
+    mapper.mlp.out.b.value[...] = flat
     emb = np.zeros(4)
     assert np.array_equal(mapper.map_prefix(emb), flat.reshape(3, 8))
+
+
+def textbook_activation(name, h):
+    """(act(h), act'(h)) as plain expressions."""
+    if name == "tanh":
+        return np.tanh(h), 1.0 - np.tanh(h) * np.tanh(h)
+    if name == "relu":
+        return np.maximum(h, 0.0), (h > 0.0).astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    return h * cdf, cdf + h * (np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "gelu"])
+def test_mapper_is_bit_equal_to_textbook(activation):
+    """The prefix, the input gradient and the four parameter gradients equal a
+    textbook x @ W1 + b1 -> act -> @ W2 + b2 chain, byte for byte."""
+    cfg = MapperConfig(input_dim=12, lm_embed_dim=8, hidden_dim=40, prefix_length=3,
+                       activation=activation)
+    mapper = PrefixMapper(cfg, seed=4)
+    rng = np.random.default_rng(5)
+    for p in mapper.params().values():
+        p.value[...] = rng.standard_normal(p.value.shape)
+        p.zero_grad()
+    x = rng.standard_normal((5, 12))
+    dprefix = rng.standard_normal((5, 3, 8))
+    prefix, cache = mapper.forward_batch(x)
+    dx = mapper.backward_batch(dprefix, cache)
+
+    params = {name: p.value for name, p in mapper.params().items()}
+    w1, b1, w2, b2 = (params[k] for k in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
+    h = x @ w1 + b1
+    a, slope = textbook_activation(activation, h)
+    assert prefix.tobytes() == (a @ w2 + b2).reshape(5, 3, 8).tobytes()
+    dy = dprefix.reshape(5, 24)
+    dh = (dy @ w2.T) * slope
+    grads = {name: p.grad for name, p in mapper.params().items()}
+    assert dx.tobytes() == (dh @ w1.T).tobytes()
+    assert grads["fc2.w"].tobytes() == (a.T @ dy).tobytes()
+    assert grads["fc2.b"].tobytes() == dy.sum(axis=0).tobytes()
+    assert grads["fc1.w"].tobytes() == (x.T @ dh).tobytes()
+    assert grads["fc1.b"].tobytes() == dh.sum(axis=0).tobytes()
 
 
 def test_mapper_gradients_through_frozen_lm():

@@ -7,8 +7,10 @@ from scipy.special import erf
 
 from conftest import central_difference, grad_close
 from ppst import nn
+from ppst.adapters import AdapterBlock, AdapterConfig
 from ppst.errors import ConfigurationError
 from ppst.lm import CausalTransformerLM, LmConfig, batch_loss, shifted_batch
+from ppst.mapper import MapperConfig, PrefixMapper
 from ppst.tokenizer import WordTokenizer
 
 
@@ -110,14 +112,19 @@ def test_transformer_block_gradients():
 
 @pytest.mark.parametrize("name", ["tanh", "relu", "gelu"])
 def test_activation_gradients(name):
-    fwd, bwd = nn.get_activation(name)
+    """The slope is dy/dx; without backward, or written into x, y has the same bytes."""
+    act = nn.get_activation(name)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64) + 0.05   # keep relu away from the kink
-    y, cache = fwd(x)
-    g = bwd(np.ones_like(y), cache)
+    y, slope = act(x)
     for i in range(0, 64, 9):
-        fd = central_difference(lambda: float(fwd(x)[0].sum()), x, i)
-        assert grad_close(fd, g[i], rel_tol=1e-5)
+        fd = central_difference(lambda: float(act(x)[0].sum()), x, i)
+        assert grad_close(fd, slope[i], rel_tol=1e-5)
+    y_only, none = act(x, backward=False)
+    assert none is None and y_only.tobytes() == y.tobytes()
+    in_place, in_place_slope = act(x, out=x)
+    assert in_place is x and x.tobytes() == y.tobytes()
+    assert np.array_equal(in_place_slope, slope)
 
 
 def test_unknown_activation():
@@ -275,24 +282,41 @@ def test_mlp_backward_allocates_no_hidden_array():
     assert cache == []      # the GELU output and slope are released
 
 
-def test_a_training_cache_serves_one_backward():
-    """Backward overwrites the MLP's cached GELU output, so a second backward on
-    the same cache (the MLP's, a block's or the LM's) must raise, not return wrong
-    gradients."""
+def second_backward(layer):
+    """A backward through `layer`'s fresh training cache, to be called twice."""
     rng = np.random.default_rng(21)
-    block = nn.TransformerBlock(8, 2, 32, rng)
     x = rng.standard_normal((2, 3, 8))
-    _, mlp_cache = block.mlp.forward(x)
-    _, block_cache = block.forward(x)
+    if layer in ("mlp", "block"):
+        block = nn.TransformerBlock(8, 2, 32, rng)
+        if layer == "mlp":
+            _, cache = block.mlp.forward(x)
+            return lambda: block.mlp.backward(x, cache, x)
+        _, cache = block.forward(x)
+        return lambda: block.backward(x, cache)
+    if layer == "adapter":
+        adapter = AdapterBlock(8, AdapterConfig(bottleneck_dim=3, activation="gelu"), rng)
+        _, cache = adapter.forward(x)
+        return lambda: adapter.backward(x, cache)
+    if layer == "mapper":
+        mapper = PrefixMapper(MapperConfig(input_dim=8, lm_embed_dim=4, hidden_dim=6,
+                                           prefix_length=2))
+        prefix, cache = mapper.forward_batch(x[0])
+        return lambda: mapper.backward_batch(prefix, cache)
     lm = CausalTransformerLM(LmConfig(vocab_size=12, n_layer=2, d_model=8),
                              WordTokenizer([f"w{i}" for i in range(8)]), seed=2)
-    logits, lm_cache = lm.forward_embeds(rng.standard_normal((2, 3, 8)))
-    for backward in (lambda: block.mlp.backward(x, mlp_cache, x),
-                     lambda: block.backward(x, block_cache),
-                     lambda: lm.backward(np.ones_like(logits), lm_cache)):
+    logits, cache = lm.forward_embeds(x)
+    return lambda: lm.backward(np.ones_like(logits), cache)
+
+
+@pytest.mark.parametrize("layer", ["mlp", "block", "lm", "adapter", "mapper"])
+def test_a_training_cache_serves_one_backward(layer):
+    """Backward overwrites the `Mlp`'s cached activation output, so a second
+    backward on the same cache (the MLP's, a block's, the LM's, an adapter's or
+    the mapper's) must raise, not return wrong gradients."""
+    backward = second_backward(layer)
+    backward()
+    with pytest.raises(ConfigurationError, match="consumed"):
         backward()
-        with pytest.raises(ConfigurationError, match="consumed"):
-            backward()
 
 
 def test_lm_training_step_holds_the_lower_caches_and_one_working_set():
@@ -360,15 +384,13 @@ def test_adam_is_bit_equal_to_textbook_update():
 
 
 def test_gelu_is_bit_equal_to_textbook():
-    fwd, bwd = nn.get_activation("gelu")
     rng = np.random.default_rng(12)
     x = np.concatenate([rng.standard_normal(500) * 3, [0.0, -0.0, 1e-300, 9.0, -9.0, 40.0]])
-    dy = rng.standard_normal(x.shape)
-    y, cache = fwd(x)
+    y, slope = nn.get_activation("gelu")(x)
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     assert np.array_equal(y, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
-    assert np.array_equal(bwd(dy, cache), dy * (cdf + x * pdf))
+    assert np.array_equal(slope, cdf + x * pdf)
 
 
 def test_layernorm_is_bit_equal_to_textbook():

@@ -24,14 +24,19 @@ BROAD_HANDLERS_ALLOWED = {("encoding.py", "load_raster")}
 
 
 def nodes_with_function(tree):
-    """(node, name of its innermost enclosing function or None) for every node."""
-    def visit(node, function):
+    """(node, dotted name of its innermost enclosing function, `Class.method` for a
+    method, or None) for every node."""
+    def visit(node, function, scope):
         for child in ast.iter_child_nodes(node):
             yield child, function
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from visit(child, child.name if is_def else function)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + child.name, f"{scope}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, function, f"{scope}{child.name}.")
+            else:
+                yield from visit(child, function, scope)
 
-    return visit(tree, None)
+    return visit(tree, None, "")
 
 
 def broad_handlers(tree):
@@ -147,3 +152,24 @@ def test_only_batch_loss_scores_a_batch():
                if "masked_cross_entropy" in (getattr(node, "id", None),
                                              getattr(node, "attr", None))]
     assert readers == ["lm.batch_loss"], readers
+
+
+def test_only_mlp_runs_an_activation():
+    """The transformer MLP, the style adapter and the prefix mapper all run `nn.Mlp`:
+    outside `get_activation`, only `Mlp.forward` reads `ACTIVATIONS`, so a second
+    fc -> activation -> fc chain cannot come back unnoticed. The config classes call
+    `get_activation` only to check a name, so every call discards its result."""
+    readers, kept = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"))
+        discarded = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node, function in nodes_with_function(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name == "ACTIVATIONS" and not isinstance(node.ctx, ast.Store):
+                readers.add(f"{path.stem}.{function}")
+            if (isinstance(node, ast.Call) and id(node) not in discarded
+                    and "get_activation" in (getattr(node.func, "attr", None),
+                                             getattr(node.func, "id", None))):
+                kept.append(f"{path.stem}.{function}")
+    assert sorted(readers) == ["nn.Mlp.forward", "nn.get_activation"], readers
+    assert not kept, f"get_activation's result used in {kept}"
