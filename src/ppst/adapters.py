@@ -33,13 +33,10 @@ from .lm import CausalTransformerLM, batch_loss, sequence_nll, teacher_forced_ba
 class AdapterConfig:
     bottleneck_dim: int = 0      # 0 -> the LM's d_model // 8 (at least 1)
     activation: str = "relu"
-    init: str = "zero_up_projection"
 
     def __post_init__(self):
         if self.bottleneck_dim < 0:
             raise ConfigurationError("AdapterConfig.bottleneck_dim must be >= 0")
-        if self.init != "zero_up_projection":
-            raise ConfigurationError(f"unknown adapter init {self.init!r}")
         nn.get_activation(self.activation)
 
     def sized(self, d_model):
@@ -106,9 +103,12 @@ class StyleAdapterSet:
 
     @classmethod
     def load(cls, directory, base_lm):
-        # str: a null fingerprint matches no LM, rather than meaning `base_lm`
+        # str: a null fingerprint matches no LM, rather than meaning `base_lm`. An older
+        # config also holds "init": "zero_up_projection", the one init there was.
         return load_checkpoint(directory, "style_adapter_set", lambda manifest: cls(
-            manifest["style_id"], base_lm, AdapterConfig(**manifest["config"]),
+            manifest["style_id"], base_lm, AdapterConfig(**{
+                key: value for key, value in manifest["config"].items()
+                if (key, value) != ("init", "zero_up_projection")}),
             manifest.get("seed", 0), str(manifest["lm_fingerprint"])))
 
 
@@ -190,37 +190,34 @@ class StyledLanguageModel:
 
     def prefill(self, prefix_matrix):
         """Run the anchor once: (logits (1, vocab) for the first token, past). The
-        past `(kv, S, rows)` holds per layer K and V buffers (beams, H, max_seq_len,
-        dh) and, per beam, the buffer row that holds it."""
+        past `(kv, S, rows)` holds one array kv (layers, 2, rows, H, max_seq_len,
+        dh), whose kv[i] is layer i's K and V, and, per beam, the kv row that holds it."""
         anchor = self._anchor(prefix_matrix)[None]
         attn = self.base_lm.blocks[0].attn
-        shape = (1, attn.n_head, self.context_limit, attn.d_head)
-        kv = [(np.empty(shape), np.empty(shape)) for _ in self.base_lm.blocks]
+        kv = np.empty((len(self.base_lm.blocks), 2, 1, attn.n_head, self.context_limit,
+                       attn.d_head))
         logits, _ = self.base_lm.forward_embeds(anchor, self.adapters, (kv, 0))
         return logits[:, -1], (kv, anchor.shape[1], np.zeros(1, dtype=np.intp))
 
     def step(self, token_ids, past, parents):
         """Append token_ids[i] to beam parents[i] of `past`: returns (logits (beams,
         vocab) for each new beam's next token, the new past). In place: a parent's first
-        child keeps its buffer row; a further child, or one whose parent's row lies past
+        child keeps its kv row; a further child, or one whose parent's row lies past
         the new beam count, copies that row into a row that no parent holds. The batch
-        runs in row order; the buffers regrow when the beam count passes their rows."""
+        runs in row order; kv regrows when the beam count passes its rows."""
         kv, start, rows = past
         src = rows[np.asarray(parents, dtype=np.intp)].tolist()    # each parent's row
         n = len(src)
-        if n > kv[0][0].shape[0]:
-            for i, layer in enumerate(kv):
-                kv[i] = tuple(np.empty((n,) + buf.shape[1:]) for buf in layer)
-                for old, new in zip(layer, kv[i]):
-                    new[:len(old), :, :start] = old[:, :, :start]
+        if n > kv.shape[2]:
+            grown = np.empty(kv.shape[:2] + (n,) + kv.shape[3:])
+            grown[:, :, :kv.shape[2], :, :start] = kv[..., :start, :]
+            kv = grown
         moved = [i for i, row in enumerate(src) if row >= n or row in src[:i]]
         free = sorted(set(range(n)) - set(src))    # rows that no parent holds
         rows = np.array(src)
         rows[moved] = free
         for child, dst in zip(moved, free):
-            for layer in kv:
-                for buf in layer:
-                    buf[dst, :, :start] = buf[src[child], :, :start]
+            kv[:, :, dst, :, :start] = kv[:, :, src[child], :, :start]
         embeds = self.base_lm.embed_tokens(np.asarray(token_ids)[np.argsort(rows)])
         logits, _ = self.base_lm.forward_embeds(embeds[:, None], self.adapters, (kv, start))
         return logits[rows, -1], (kv, start + 1, rows)

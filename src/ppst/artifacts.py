@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigurationError, InputError
+from .errors import CompatibilityError, ConfigurationError, InputError, TrainingDiverged
 
 TENSOR_FILE = "tensors.bin"
 INDEX_FILE = "tensors.json"
@@ -32,23 +32,29 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
 
 def save_tensors(directory, arrays):
-    """Write {name: array} as float32 LE + shape index into `directory`."""
+    """Write {name: array} as float32 LE + shape index into `directory`. A tensor
+    that float32 cannot hold (a NaN, or beyond its range) is a TrainingDiverged."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     index = []
     offset = 0
-    with open(directory / TENSOR_FILE, "wb") as fh:
+    # a cast's overflow warning would repeat the error below
+    with open(directory / TENSOR_FILE, "wb") as fh, np.errstate(over="ignore"):
         for name in sorted(arrays):
-            data = np.ascontiguousarray(arrays[name], dtype="<f4").tobytes()
+            data = np.ascontiguousarray(arrays[name], dtype="<f4")
+            if not np.isfinite(data).all():
+                raise TrainingDiverged(f"tensor {name!r} of checkpoint {directory} is not "
+                                       "finite in float32")
             fh.write(data)
             index.append({"name": name, "shape": list(np.shape(arrays[name])),
-                          "offset": offset, "nbytes": len(data)})
-            offset += len(data)
+                          "offset": offset, "nbytes": data.nbytes})
+            offset += data.nbytes
     (directory / INDEX_FILE).write_text(json.dumps(index, indent=1))
 
 
 def load_tensors(directory):
-    """Inverse of save_tensors; returns {name: float64 array}."""
+    """Inverse of save_tensors; returns {name: float64 array}. A tensor with a
+    non-finite value is a CompatibilityError."""
     directory = Path(directory)
     index = read_json(directory / INDEX_FILE)
     path = directory / TENSOR_FILE
@@ -64,6 +70,9 @@ def load_tensors(directory):
                 raise CompatibilityError(f"{path} is truncated or does not match "
                                          f"{INDEX_FILE} at tensor {entry['name']!r}")
             arr = np.frombuffer(blob[start: start + nbytes], dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CompatibilityError(f"{path} holds a non-finite value in tensor "
+                                         f"{entry['name']!r}")
             out[entry["name"]] = arr.astype(np.float64)
     except _MALFORMED as exc:
         raise CompatibilityError(f"{directory / INDEX_FILE} is malformed: {exc!r}") from None

@@ -93,7 +93,7 @@ def _defaults(section):
     return {name: p.default for cls in SECTION_CLASSES[section]
             for name, p in inspect.signature(cls).parameters.items()
             if p.default is not p.empty
-            and name not in ("seed", "encoder", "scorer_endpoint", "init")}
+            and name not in ("seed", "encoder", "scorer_endpoint")}
 
 
 DEFAULT_CONFIG = {
@@ -194,6 +194,10 @@ def load_config(path, seed=None):
                              f"{json.dumps(style)}")
     for section in SECTION_CLASSES:
         _check_section(cfg, section)
+    try:                            # the rule build-corpus applies to it
+        corpus_mod.subsample([], cfg["corpus"]["caption_fraction"], 0)
+    except ConfigurationError as exc:
+        raise _refusal({"corpus.caption_fraction": cfg["corpus"]["caption_fraction"]}, exc)
     lm, adapters = cfg["lm"], cfg["adapters"]
     if not lm["checkpoint"]:        # a built LM's width is known before it is built
         try:

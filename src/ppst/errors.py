@@ -22,7 +22,7 @@ class CompatibilityError(PpstError):
 
 
 class TrainingDiverged(PpstError):
-    """Non-finite loss encountered; training aborted."""
+    """A non-finite loss, or a weight that float32 cannot store: training aborted."""
 
 
 class ScorerUnavailable(PpstError):

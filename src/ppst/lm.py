@@ -89,13 +89,14 @@ class CausalTransformerLM:
     def forward_embeds(self, embeds, adapters=None, past=None, backward=True):
         """embeds: (B, T, d_model) already in input-embedding space.
 
-        `past=(kv, S)`, kv one (K, V) buffer pair per layer holding S positions
-        (see nn.CausalSelfAttention), puts the embeds at positions S..S+T-1 (decode
-        only): the logits equal one call over all S + T positions. Backward
-        needs `past=None`, which starts at position 0, and `backward=True`;
-        otherwise no block or adapter computes an activation slope or keeps a
-        cache, and the forward returns None for it. The cache records the adapters that ran, so backward goes
-        through the same ones.
+        `past=(kv, S)`, kv one (layers, 2, rows >= B, H, max_seq_len, d_head) array
+        whose kv[i] is layer i's K and V buffers holding S positions (see
+        nn.CausalSelfAttention), puts the embeds at positions S..S+T-1 (decode only):
+        the logits equal one call over all S + T positions. Backward needs
+        `past=None`, which starts at position 0, and `backward=True`; otherwise no
+        block or adapter computes an activation slope or keeps a cache, and the
+        forward returns None for it. The cache records the adapters that ran, so
+        backward goes through the same ones.
         """
         backward = backward and past is None
         b, t, d = embeds.shape

@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import re
+import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -224,6 +226,21 @@ def test_infinite_learning_rate_exits_2_at_load(tmp_path, capsys, section, owner
     err = capsys.readouterr().err
     assert (f"config key {section}.learning_rate = Infinity: {owner}.learning_rate must be "
             "positive and finite") in err, err
+    assert "Traceback" not in err and not (tmp_path / "runs").exists(), err
+
+
+@pytest.mark.parametrize("command", ["build-corpus", "train-mapper"])
+@pytest.mark.parametrize("fraction", [2.0, 0, -0.5, math.nan])
+def test_caption_fraction_outside_0_1_exits_2_at_load(tmp_path, capsys, command, fraction):
+    """The rule `subsample` applies in build-corpus, checked before any command runs."""
+    cfg = workspace_config(tmp_path)
+    cfg["corpus"]["caption_fraction"] = fraction
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(config_path), command]) == 2
+    err = capsys.readouterr().err
+    assert (f"config key corpus.caption_fraction = {json.dumps(fraction)}: fraction must "
+            "be in (0, 1]") in err, err
     assert "Traceback" not in err and not (tmp_path / "runs").exists(), err
 
 
@@ -576,8 +593,90 @@ def test_non_styled_produces_finetuned_checkpoint(trained):
     assert (run_dir / "checkpoints" / "lm_finetuned" / "tensors.bin").exists()
 
 
+def test_weights_beyond_float32_exit_3_and_commit_no_mapper(tmp_path, capsys):
+    """A finite learning rate can train float64 weights that float32, the checkpoint
+    format, cannot hold: the save refuses them, so no run commits an inf."""
+    config_path, cfg = build_workspace(tmp_path)
+    cfg["mapper"]["learning_rate"] = 1e300
+    config_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(config_path), "build-corpus"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the training's own float64 overflow
+        assert main(["--config", str(config_path), "train-mapper"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"numeric failure: tensor '[^']+' of checkpoint \S+/checkpoints/mapper "
+                     "is not finite in float32", err), err
+    assert not any((d / "manifest.json").exists() for d in run_dirs(cfg, "train-mapper-"))
+
+
 # ---------------------------------------------------------------------------
 # generation and evaluation
+
+
+@pytest.fixture
+def trained_copy(trained, tmp_path):
+    """The shared pipeline's runs copied for one test to alter: (images, config path,
+    cfg). The config differs only in `artifacts_dir`, which no run dir's name hashes."""
+    tmp, _, shared = trained
+    cfg = {**shared, "artifacts_dir": str(tmp_path / "runs")}
+    shutil.copytree(shared["artifacts_dir"], cfg["artifacts_dir"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    return tmp / "images", config_path, cfg
+
+
+# kind: (run dir prefix, checkpoint, the style whose generate reads it)
+CHECKPOINTS = {"lm": ("base-lm-", "lm", "plain"),
+               "mapper": ("train-mapper-", "mapper", "plain"),
+               "adapter": ("train-adapter-romance-", "adapter", "romance"),
+               "fine-tune": ("train-adapter-non-styled-", "lm_finetuned", "non-styled")}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKPOINTS))
+def test_nan_in_a_checkpoint_exits_2_naming_the_file(trained_copy, capsys, kind):
+    images, config_path, cfg = trained_copy
+    prefix, name, style = CHECKPOINTS[kind]
+    (run_dir,) = run_dirs(cfg, prefix)
+    checkpoint = run_dir / "checkpoints" / name
+    entry = json.loads((checkpoint / "tensors.json").read_text())[-1]
+    with open(checkpoint / "tensors.bin", "r+b") as fh:
+        fh.seek(entry["offset"])
+        fh.write(b"\x00\x00\xc0\x7f")       # a float32 NaN, little-endian
+    assert main(["--config", str(config_path), "generate", "--style", style,
+                 "--images", str(images)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{checkpoint / 'tensors.bin'} holds a non-finite value in tensor "
+            f"{entry['name']!r}") in err, err
+
+
+def test_adapter_manifest_with_the_retired_init_key_loads(trained_copy, capsys):
+    """Adapter manifests written while `AdapterConfig` had an `init` field hold
+    "zero_up_projection", the one value it took: they load and decode bit-equal.
+    Any other init is no config this code can build."""
+    images, config_path, cfg = trained_copy
+    argv = ["--config", str(config_path), "--force", "generate", "--style", "romance",
+            "--images", str(images)]
+    (adapter_run,) = run_dirs(cfg, "train-adapter-romance-")
+    manifest_path = adapter_run / "checkpoints" / "adapter" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "init" not in manifest["config"]
+    records = []
+    for init in (None, "zero_up_projection"):
+        if init is not None:
+            manifest["config"]["init"] = init
+            manifest_path.write_text(json.dumps(manifest))
+        assert main(argv) == 0
+        (run_dir,) = run_dirs(cfg, "generate-romance-")
+        records.append((run_dir / "records" / "records.jsonl").read_bytes())
+    assert records[0] == records[1]
+    manifest["config"]["init"] = "xavier"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest_path} does not describe a style_adapter_set model" in err, err
+    assert "init" in err, err
 
 
 def test_generate_records_in_input_order_and_deterministic(trained, tmp_path):

@@ -2,7 +2,7 @@
 
 Demo 05 writes a full CLI config, so it also checks the config schema end to
 end. Demos 02 and 03 train and decode at a size that takes several seconds
-each and are left to be run by hand.
+each; the CI workflow runs them after this suite.
 """
 
 import os

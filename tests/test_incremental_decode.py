@@ -128,16 +128,17 @@ def test_step_copies_a_parents_past_only_for_its_second_child():
     _, past = model.prefill(make_prefix(model, True))
     _, past = model.step([1, 2, 3, 4, 5], past, [0] * 5)
     kv, start, rows = past
-    bufs = [buf for layer in kv for buf in layer]
-    for buf in bufs:
-        buf[rows, :, :start] = np.arange(5.0)[:, None, None, None]    # beam i's sentinel
-    before = [buf[:, :, :start].copy() for buf in bufs]
-    _, (_, _, rows) = model.step([6, 7, 8, 9, 10], past, [0, 0, 1, 2, 3])
-    changed = {r for buf, old in zip(bufs, before) for r in range(5)
-               if not np.array_equal(buf[r, :, :start], old[r])}
+    lm = model.base_lm
+    assert kv.shape == (len(lm.blocks), 2, 5, lm.blocks[0].attn.n_head,
+                        lm.config.max_seq_len, lm.blocks[0].attn.d_head)
+    kv[:, :, rows, :, :start] = np.arange(5.0)[:, None, None, None]    # beam i's sentinel
+    before = kv[..., :start, :].copy()
+    _, (after, _, rows) = model.step([6, 7, 8, 9, 10], past, [0, 0, 1, 2, 3])
+    assert after is kv              # the beam count did not grow: no new array
+    changed = {r for r in range(5)
+               if not np.array_equal(kv[:, :, r, :, :start], before[:, :, r])}
     assert changed == {rows[1]}     # only beam 0's second child is copied
-    for buf in bufs:
-        assert (buf[rows, :, :start] == np.array([0, 0, 1, 2, 3.0])[:, None, None, None]).all()
+    assert (kv[:, :, rows, :, :start] == np.array([0, 0, 1, 2, 3.0])[:, None, None, None]).all()
 
 
 @pytest.mark.parametrize("adapter_activation", ["relu", "gelu"])
@@ -176,7 +177,7 @@ def test_step_allocates_far_less_than_the_past():
         parents = rng.integers(0, 5, size=5)
     kv, start, _ = past
     assert start >= 100
-    past_bytes = sum(buf[:5, :, :start].nbytes for layer in kv for buf in layer)
+    past_bytes = kv[:, :, :5, :, :start].nbytes
     tokens = rng.integers(0, vocab, size=5)
     tracemalloc.start()
     try:
@@ -227,7 +228,7 @@ def test_forward_embeds_past_beyond_max_seq_len_raises():
     lm = make_tiny_lm(max_seq_len=8)
     rng = np.random.default_rng(0)
     attn = lm.blocks[0].attn
-    kv = [tuple(np.empty((2, attn.n_head, 8, attn.d_head)) for _ in "kv") for _ in lm.blocks]
+    kv = np.empty((len(lm.blocks), 2, 2, attn.n_head, 8, attn.d_head))
     lm.forward_embeds(rng.standard_normal((2, 5, 8)), past=(kv, 0))
     lm.forward_embeds(rng.standard_normal((2, 3, 8)), past=(kv, 5))    # 5 + 3 fits
     with pytest.raises(ConfigurationError, match="max_seq_len"):

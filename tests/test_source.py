@@ -76,13 +76,33 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    """Every imported name is used; `__init__.py` only re-exports."""
+    """Every imported name is used."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = unused_imports(tree)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def bound_names(tree):
+    """Every name a module binds: assigned, imported, defined or deleted."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_package_binds_only_its_version():
+    """Each name lives in its module, which every caller imports: `ppst/__init__.py`
+    binds nothing but `__version__`, so a second home for a name cannot come back
+    unnoticed."""
+    (init,) = [path for path in SOURCES if path.name == "__init__.py"]
+    assert bound_names(ast.parse(init.read_text("utf-8"))) == {"__version__"}
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
