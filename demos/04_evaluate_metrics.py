@@ -24,9 +24,9 @@ print(f"  ROUGE-L: {rouge_l(tokenize(cand), [tokenize(ref)])}")
 print(f"  ChrF++ : {chrf_pp(cand, [ref]):.4f}\n")
 
 encoder = HashedNgramEncoder(embed_dim=64, n_buckets=512)
-workdir = Path(tempfile.mkdtemp(prefix="ppst-demo-"))
-image = render_text_image(workdir / "cat.pgm", "a red cat on the table")
-image_emb = encoder.encode_image(image)
+with tempfile.TemporaryDirectory(prefix="ppst-demo-") as tmp:
+    image = render_text_image(Path(tmp) / "cat.pgm", "a red cat on the table")
+    image_emb = encoder.encode_image(image)
 print(f"  CLIPScore vs matching text: "
       f"{clip_score(image_emb, encoder.encode_text('a red cat on the table')):.3f}")
 print(f"  CLIPScore vs unrelated text: "
@@ -61,11 +61,12 @@ class Row:
 
 captions = ["a red cat on the table", "a blue bird on the roof", "a dog on the grass"]
 rows, references = [], {}
-for i, caption in enumerate(captions):
-    path = render_text_image(workdir / f"img{i}.pgm", caption)
-    rows.append(Row(str(path), caption if i else caption + " sleeping quietly"))
-    references[str(path)] = [caption]
+with tempfile.TemporaryDirectory(prefix="ppst-demo-") as tmp:
+    for i, caption in enumerate(captions):
+        path = render_text_image(Path(tmp) / f"img{i}.pgm", caption)
+        rows.append(Row(str(path), caption if i else caption + " sleeping quietly"))
+        references[str(path)] = [caption]
 
-report = evaluate_run(rows, references, encoder=encoder, scorer_endpoint=endpoint)
+    report = evaluate_run(rows, references, encoder=encoder, scorer_endpoint=endpoint)
 print(report.to_table())
 server.shutdown()

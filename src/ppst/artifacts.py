@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigurationError, InputError, TrainingDiverged
+from .errors import CompatibilityError, ConfigurationError, InputError, PpstError, TrainingDiverged
 
 TENSOR_FILE = "tensors.bin"
 INDEX_FILE = "tensors.json"
@@ -321,6 +321,9 @@ class Stage:
                             shutil.rmtree(target)
                         os.replace(entry, target)
                     write_manifest(self.dir, manifest)
+                except PpstError as exc:     # name the run dir, not the staging dir that goes
+                    exc.args = (str(exc).replace(str(staging), str(self.dir)),)
+                    raise
                 finally:
                     shutil.rmtree(staging, ignore_errors=True)
         finally:

@@ -26,6 +26,8 @@ complete manifest over the same inputs is "up to date" and skipped unless
 mapper and model included, and for evaluate the images it scores.
 A downstream stage reads only complete upstream runs. `generate` checks that
 the mapper, an adapter and a non-styled fine-tune come from the base LM in use.
+Its `records/timings.jsonl` holds each record's wall time, `token_count`, `finished`,
+score and decode events (`warnings`), and stderr gets each event once per stage.
 
 Exit codes: 0 success; 2 input, config or compatibility error, including a
 corrupt file, a failed read or write, a config key not in DEFAULT_CONFIG, of
@@ -501,7 +503,7 @@ def cmd_generate(cfg, images, style, force=False):
     if stage.skip(input_fp, force):
         return
 
-    n_ok = 0
+    n_ok, reported = 0, set()         # each decode event goes to stderr once per stage
     with stage.run(input_fp) as (out, manifest):
         (out / "records").mkdir()
         with open(out / "records" / "records.jsonl", "w", encoding="utf-8") as rec_fh, \
@@ -517,8 +519,12 @@ def cmd_generate(cfg, images, style, force=False):
                     print(f"generate[{style}]: skipped {image}: {exc}", file=sys.stderr)
                     continue
                 rec_fh.write(record.to_json_line() + "\n")
-                time_fh.write(json.dumps({"image_ref": str(image),
-                                          "wall_time_s": record.wall_time_s}) + "\n")
+                timing = {k: getattr(record, k) for k in ("wall_time_s", "token_count", "finished",
+                                                          "cumulative_log_prob", "warnings")}
+                time_fh.write(json.dumps({"image_ref": str(image), **timing}) + "\n")
+                for message in dict.fromkeys(m for m in record.warnings if m not in reported):
+                    print(f"generate[{style}]: {message}", file=sys.stderr)
+                reported.update(record.warnings)
                 n_ok += 1
         manifest.update(n_records=n_ok, n_images=len(image_files), model=model_manifest)
     print(f"generate[{style}]: {n_ok}/{len(image_files)} records -> "

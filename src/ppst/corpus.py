@@ -95,14 +95,14 @@ class GenreCatalog:
 
     @classmethod
     def from_table(cls, path):
-        """Tab-separated table with header `title<TAB>genres`; genres are a
-        semicolon-separated, order-significant list. Labels outside the
+        """Tab-separated table, its header `title<TAB>genres` (any case) optional; genres
+        are a semicolon-separated, order-significant list. Labels outside the
         recognized set map to "other"."""
         entries = {}
         lines = read_text(path).splitlines()
         if not lines:
             return cls(entries)
-        start = 1 if lines[0].strip().lower().startswith("title") else 0
+        start = int([c.strip().lower() for c in lines[0].split("\t")] == ["title", "genres"])
         for lineno, line in enumerate(lines[start:], start + 1):
             if not line.strip():
                 continue

@@ -21,7 +21,9 @@ Conventions (documented, configurable where noted):
   * the winner is the best finished beam by cumulative log-probability, or
     the best live beam when nothing finished by max_length;
   * if every candidate of a beam is masked (n-gram saturation), its n-gram
-    block is lifted for that single step and a warning is recorded.
+    block is lifted for that single step;
+  * decode events (that lift with its step, a max_length clipped by the
+    context or below min_length) go to the record's `warnings` strings only.
 
 The live beams are a (beams, step) token-id matrix and a (beams,) score
 vector. A step is one processor pass over (beams, vocab) logits, and one
@@ -40,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings as _warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -95,8 +96,8 @@ class GenerationRecord:
 
     def to_json_line(self):
         """Persisted record line. Wall time is volatile, so it is written as
-        null to keep record files byte-identical across reruns; real timings
-        go to a sidecar (see cli.py)."""
+        null to keep record files byte-identical across reruns; the real one,
+        with the score, `finished` and `warnings`, goes to a sidecar (cli.py)."""
         return json.dumps({
             "image_ref": self.image_ref,
             "style": self.style,
@@ -270,7 +271,7 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
 
     pool = finished or [(tuple(row), s) for row, s in zip(ids.tolist(), scores)]
     token_ids, score = min(pool, key=lambda b: (-b[1], len(b[0]), b[0]))
-    record = GenerationRecord(
+    return GenerationRecord(
         image_ref=str(image_ref),
         style=model.style,
         story_text=model.decode(list(token_ids)),
@@ -283,6 +284,3 @@ def generate(prefix, model, cfg: DecodeConfig, image_ref="") -> GenerationRecord
         wall_time_s=time.perf_counter() - started,
         warnings=run_warnings,
     )
-    for message in run_warnings:
-        _warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return record

@@ -99,7 +99,7 @@ class PrefixMapper:
 def prefix_batch_loss(mapper, lm, embeddings, caption_ids, backward=False):
     """Loss of one batch; optionally backprop into the mapper parameters. The
     batch is the text trainers' layout, `shifted_batch`, with the prefix in the bos slot."""
-    prefixes, mcache = mapper.forward_batch(embeddings)
+    prefixes, mcache = mapper.forward_batch(embeddings, backward)
     tok = lm.tokenizer
     batch = shifted_batch([tok.bos_id] * prefixes.shape[1], caption_ids, tok.pad_id)
     loss, dprefixes = batch_loss(lm, batch, prefix=prefixes, backward=backward)

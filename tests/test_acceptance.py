@@ -9,7 +9,6 @@ determinism, and corpus invariants.
 
 import json
 import time
-import warnings
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -32,8 +31,6 @@ from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper,
 from ppst.metrics import chrf_pp, rouge_l
 from ppst.synthetic import full_vocabulary, make_caption_dataset, make_style_passages
 from ppst.tokenizer import WordTokenizer
-
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 
 @contextmanager

@@ -607,6 +607,7 @@ def test_weights_beyond_float32_exit_3_and_commit_no_mapper(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"numeric failure: tensor '[^']+' of checkpoint \S+/checkpoints/mapper "
                      "is not finite in float32", err), err
+    assert ".staging" not in err, err           # the staging dir is gone by now
     assert not any((d / "manifest.json").exists() for d in run_dirs(cfg, "train-mapper-"))
 
 
@@ -712,6 +713,39 @@ def test_generate_records_in_input_order_and_deterministic(trained, tmp_path):
     (run_dir2,) = run_dirs(user, "generate-romance-")
     assert (run_dir2 / "records" / "records.jsonl").read_bytes() == \
         records_path.read_bytes()
+
+
+def test_generate_writes_decode_events_to_timings_and_once_to_stderr(trained_copy, tmp_path,
+                                                                    capsys):
+    """A `decode.max_length` past the LM context clips every story: each record's
+    timings line holds the clip with its other decode fields, and stderr holds it
+    once for the stage."""
+    images, config_path, cfg = trained_copy
+    cfg = dict(cfg, decode=dict(cfg["decode"], max_length=100))
+    config_path.write_text(json.dumps(cfg))
+    few = tmp_path / "few"
+    few.mkdir()
+    for image in sorted(images.glob("*.pgm"))[:3]:
+        shutil.copy(image, few)
+    before = run_dirs(cfg, "generate-plain-")
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "generate", "--style", "plain",
+                 "--images", str(few)]) == 0
+    clip = "max_length clipped to 60 by model context"      # 64 positions, 4 prefix rows
+    assert capsys.readouterr().err.count(clip) == 1
+    (run_dir,) = set(run_dirs(cfg, "generate-plain-")) - set(before)
+    records = [json.loads(line) for line in
+               (run_dir / "records" / "records.jsonl").read_text().splitlines()]
+    timings = [json.loads(line) for line in
+               (run_dir / "records" / "timings.jsonl").read_text().splitlines()]
+    assert len(timings) == len(records) == 3
+    for record, timing in zip(records, timings):
+        assert set(timing) == {"image_ref", "wall_time_s", "token_count", "finished",
+                               "cumulative_log_prob", "warnings"}
+        assert (timing["image_ref"], timing["token_count"]) == \
+            (record["image_ref"], record["token_count"])
+        assert timing["wall_time_s"] > 0 and timing["cumulative_log_prob"] < 0
+        assert clip in timing["warnings"]
 
 
 def test_generate_fingerprints_the_model_once_per_stage(trained, monkeypatch):

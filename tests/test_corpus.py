@@ -139,6 +139,16 @@ def test_catalog_from_table(tmp_path):
     assert cat.entries[normalize_title("Night Watch")] == ["thriller", "other", "mystery"]
 
 
+def test_catalog_header_is_title_and_genres_only(tmp_path):
+    """A first line is the header only when its columns are `title` and `genres`
+    (any case, stripped); a book whose title starts with "Title" is kept."""
+    table = tmp_path / "catalog.tsv"
+    table.write_text("Title Fight\taction\nSteel Convoy\taction\n")
+    assert list(GenreCatalog.from_table(table).entries) == ["title fight", "steel convoy"]
+    table.write_text(" TITLE \t Genres\nSteel Convoy\taction\n")
+    assert list(GenreCatalog.from_table(table).entries) == ["steel convoy"]
+
+
 def test_catalog_rejects_malformed_rows(tmp_path):
     table = tmp_path / "catalog.tsv"
     table.write_text("title\tgenres\nonly-one-column\n")

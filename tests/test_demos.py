@@ -1,8 +1,9 @@
 """The quick demos run to completion against this checkout.
 
 Demo 05 writes a full CLI config, so it also checks the config schema end to
-end. Demos 02 and 03 train and decode at a size that takes several seconds
-each; the CI workflow runs them after this suite.
+end. Each demo removes its `ppst-demo-*` work dir. Demos 02 and 03 train and
+decode at a size that takes several seconds each; the CI workflow runs them
+after this suite.
 """
 
 import os
@@ -23,3 +24,4 @@ def test_demo_exits_0(tmp_path, demo):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert not list(tmp_path.glob("ppst-demo-*")), "the demo left its work dir behind"

@@ -302,9 +302,7 @@ def test_generation_is_deterministic():
 def test_story_text_detokenizes_from_winner(tiny_lm):
     model = StyledLanguageModel(tiny_lm, None, "plain")
     cfg = small_cfg(min_length=2, max_length=6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        record = generate(None, model, cfg)
+    record = generate(None, model, cfg)
     assert record.story_text == model.decode(list(record.token_ids))
     assert record.token_count == len(record.token_ids) - (1 if record.finished else 0)
     assert record.style == "plain"
@@ -322,32 +320,48 @@ def test_no_finished_sequence_below_min_length():
             assert record.token_ids[-1] == model.eos_id   # finished ends in eos
 
 
-def test_ngram_saturation_lifts_block_with_warning():
-    class OneWordLM(StatelessLM):
-        eos_id = 0
-        def next_token_logits(self, prefix, ids):
-            return np.array([0.0, 1.0])
-        def decode(self, ids):
-            return " ".join(map(str, ids))
+class OneWordLM(StatelessLM):
+    """Always prefers token 1, so a 2-gram block saturates from the second step."""
+    eos_id = 0
 
+    def next_token_logits(self, prefix, ids):
+        return np.array([0.0, 1.0])
+
+    def decode(self, ids):
+        return " ".join(map(str, ids))
+
+
+def test_ngram_saturation_lifts_block_with_warning():
     cfg = small_cfg(beam_size=1, no_repeat_ngram=2, min_length=10, max_length=5,
                     top_k=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # short-max_length warning is intended here
-        with pytest.warns(RuntimeWarning, match="n-gram block lifted"):
-            record = generate(None, OneWordLM(), cfg)
+    record = generate(None, OneWordLM(), cfg)
     assert record.token_ids == (1, 1, 1, 1, 1)     # forced repeats, never eos
-    assert any("lifted" in w for w in record.warnings)
+    assert record.warnings == ["max_length 5 < min_length 10: sequences may finish short"] + [
+        f"n-gram block lifted at step {step}" for step in range(2, 5)]
 
 
 def test_max_length_below_min_length_warns_and_returns_unfinished():
     rng = np.random.default_rng(7)
     model = RandomTableLM(4, 5, rng)
     cfg = small_cfg(min_length=100, max_length=4)
-    with pytest.warns(RuntimeWarning, match="max_length"):
-        record = generate(None, model, cfg)
+    record = generate(None, model, cfg)
+    assert any(w.startswith("max_length 4 < min_length 100") for w in record.warnings)
     assert not record.finished
     assert record.token_count == 4
+
+
+def test_decode_events_raise_no_python_warning():
+    """A clip and n-gram lifts go into the record only: under an "error" filter
+    nothing is raised, and the record names each event."""
+    model = OneWordLM()
+    model.context_limit = 7                       # the bos anchor plus 6 tokens
+    cfg = small_cfg(beam_size=2, no_repeat_ngram=2, min_length=10, max_length=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = generate(None, model, cfg)
+    assert record.token_count == 6
+    assert "max_length clipped to 6 by model context" in record.warnings
+    assert any(w.startswith("n-gram block lifted at step") for w in record.warnings)
 
 
 def test_prefix_dimension_mismatch(tiny_lm):
@@ -363,8 +377,9 @@ def test_prefix_dimension_mismatch(tiny_lm):
 def test_context_limit_clips_max_length(tiny_lm):
     model = StyledLanguageModel(tiny_lm, None, "plain")
     cfg = small_cfg(min_length=1, max_length=10 * tiny_lm.config.max_seq_len)
-    with pytest.warns(RuntimeWarning, match="clipped"):
-        record = generate(None, model, cfg)
+    record = generate(None, model, cfg)
+    clip = tiny_lm.config.max_seq_len - 1                # after the bos anchor
+    assert f"max_length clipped to {clip} by model context" in record.warnings
     assert len(record.token_ids) <= tiny_lm.config.max_seq_len
 
 

@@ -6,7 +6,6 @@ layer, at every step and for every beam, whatever the beam reordering.
 """
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -214,9 +213,7 @@ def test_one_batched_forward_per_step(monkeypatch):
 
     monkeypatch.setattr(CausalTransformerLM, "forward_embeds", counting)
     cfg = DecodeConfig(beam_size=3, top_k=5, min_length=100, max_length=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")       # max_length < min_length is intended
-        record = generate(prefix, model, cfg)
+    record = generate(prefix, model, cfg)      # max_length < min_length is intended
     assert record.token_count == 10
     # the prefix once, then one row per live beam and step, none after the last
     assert calls[0] == (1, 4)

@@ -15,6 +15,7 @@ from ppst.errors import CompatibilityError, ConfigurationError
 from ppst.lm import CausalTransformerLM, shifted_batch
 from ppst.mapper import (MapperConfig, MapperTrainConfig, PrefixMapper, prefix_batch_loss,
                          train_mapper)
+from ppst import nn
 from ppst.nn import masked_cross_entropy
 
 
@@ -176,6 +177,26 @@ def test_batch_loss_equals_mean_of_singles():
     singles = [prefix_batch_loss(mapper, lm, embeddings[i:i + 1], captions[i:i + 1])
                for i in range(3)]
     assert abs(batch - np.mean(singles)) < 1e-5
+
+
+def test_forward_only_batch_loss_computes_no_mapper_slope(monkeypatch):
+    """`prefix_batch_loss(..., backward=False)` runs the mapper forward only, with
+    the loss of a training call."""
+    lm = make_tiny_lm(seed=5)
+    mapper = small_mapper(input_dim=4, lm_embed_dim=8, prefix_length=2)
+    embeddings = np.random.default_rng(2).standard_normal((3, 4))
+    captions = [[4, 5, 6, lm.tokenizer.eos_id], [7, lm.tokenizer.eos_id], [5, 5]]
+    trained = prefix_batch_loss(mapper, lm, embeddings, captions, backward=True)
+    slopes = []
+    tanh = nn.ACTIVATIONS[mapper.config.activation]
+
+    def recording(x, backward=True, out=None):
+        slopes.append(backward)
+        return tanh(x, backward, out)
+
+    monkeypatch.setitem(nn.ACTIVATIONS, mapper.config.activation, recording)
+    assert prefix_batch_loss(mapper, lm, embeddings, captions) == trained
+    assert slopes == [False]
 
 
 def test_train_mapper_freezes_lm_and_learns():
